@@ -7,8 +7,18 @@ projection onto a segment):
 * ``haus`` -- Hausdorff, symmetrized by taking the larger direction
 * ``ep``   -- endpoints only, averaged over endpoints and both directions
 
-Every entry of a distance matrix is computed independently, so assembly can
-be parallelized over rows without changing a single bit of the result.
+A distance matrix is assembled from tiles, runs of consecutive streamlines
+holding at most ``_TILE_POINTS`` points. For each pair of tiles one ``cdist``
+block serves both directions: minima over a column streamline's points give
+row -> column, minima over a row streamline's points give column -> row.
+The square matrix computes only the upper triangle of tile pairs, about
+n²/2 point blocks, and mirrors it.
+
+Every entry equals the scalar ``dist_*`` call bit for bit. Minima and maxima
+are exact in any order; sums are not. A directed mean adds its point minima
+in point order q = 0, 1, ..., as the scalar loop does, and never through
+NumPy's pairwise summation, which regroups runs of 8 or more values. Tiles
+write disjoint blocks, so worker threads share them without changing a bit.
 """
 
 from __future__ import annotations
@@ -141,17 +151,113 @@ def _resolve_threads(threads: int | None) -> int:
     return max(1, int(threads))
 
 
-def _directed_rows(points, all_points, starts, measure, lo, hi):
-    """Directed distances streamline i -> every streamline, rows lo..hi."""
-    out = np.empty((hi - lo, starts.size))
-    for k, i in enumerate(range(lo, hi)):
-        d = cdist(points[i], all_points)
-        mins = np.minimum.reduceat(d, starts, axis=1)
-        if measure == "haus":
-            out[k] = mins.max(axis=0)
-        else:
-            # Row-order accumulation; matches a sequential per-pair loop.
-            out[k] = np.add.reduce(mins, axis=0) / mins.shape[0]
+# Points per tile. The cdist block of two tiles holds at most this many
+# points squared (2 MiB), so temporaries keep one bounded size whatever n is
+# and the allocator reuses their pages instead of mapping fresh ones.
+_TILE_POINTS = 512
+
+
+class _Tile:
+    """A run of consecutive streamlines, laid out for block reductions.
+
+    The streamlines are taken longest first (``ids`` holds their indices)
+    and their points are stored by rank: point 0 of every streamline, then
+    point 1 of those that have one, and so on. Rank q is then one run of
+    rows whose k streamlines are the tile's first k, so a per-streamline
+    reduction steps through the ranks in point order with slices alone.
+    """
+
+    def __init__(self, pts: list, lo: int):
+        counts = np.array([p.shape[0] for p in pts])
+        order = np.argsort(-counts, kind="stable")
+        self.n = len(pts)
+        self.ids = lo + order
+        self.counts = counts[order]
+        q = np.arange(self.counts[0])[:, None]
+        present = q < self.counts
+        starts = np.cumsum(self.counts) - self.counts
+        self.points = np.concatenate([pts[i] for i in order])[(starts + q)[present]]
+        live = present.sum(axis=1)
+        self.runs = list(zip((np.cumsum(live) - live).tolist(), live.tolist()))
+
+    def fold(self, ufunc, x: np.ndarray) -> np.ndarray:
+        """Reduce the rows of ``x``, one per point, to one per streamline.
+
+        Rows are combined in point order q = 0, 1, ..., so ``np.add`` sums
+        exactly as the scalar loop does.
+        """
+        acc = x[: self.n].copy()
+        for start, k in self.runs[1:]:
+            ufunc(acc[:k], x[start : start + k], out=acc[:k])
+        return acc
+
+
+def _tiles(t: Tractogram, measure: str) -> list:
+    """Cut a tractogram into tiles of at most ``_TILE_POINTS`` points.
+
+    A streamline longer than that is a tile of its own.
+    """
+    pts = [s.endpoints if measure == "ep" else s.points for s in t]
+    tiles, lo, size = [], 0, 0
+    for i, p in enumerate(pts):
+        if i > lo and size + p.shape[0] > _TILE_POINTS:
+            tiles.append(_Tile(pts[lo:i], lo))
+            lo, size = i, 0
+        size += p.shape[0]
+    tiles.append(_Tile(pts[lo:], lo))
+    return tiles
+
+
+def _block(a: _Tile, b: _Tile, measure: str) -> np.ndarray:
+    """Symmetrized distances between two tiles from one cdist block.
+
+    Minima over b's points give every a -> b direction, minima over a's
+    points the reverse, so each point block serves both.
+    """
+    d = cdist(a.points, b.points)
+    to_a = a.fold(np.minimum, d)  # streamline of a x point of b
+    to_b = b.fold(np.minimum, d.T)  # streamline of b x point of a
+    if measure == "haus":
+        return np.maximum(
+            a.fold(np.maximum, to_b.T), b.fold(np.maximum, to_a.T).T
+        )
+    a_to_b = a.fold(np.add, to_b.T) / a.counts[:, None]
+    b_to_a = b.fold(np.add, to_a.T) / b.counts[:, None]
+    return (a_to_b + b_to_a.T) / 2.0
+
+
+def _assemble(rows: list, cols: list | None, measure: str, threads: int):
+    """Distance matrix between two tile lists, one block per tile pair.
+
+    With ``cols`` None the matrix is square over ``rows``: only the upper
+    triangle of tile pairs is computed and each block is mirrored. Blocks
+    are disjoint, so threads share them in any order without changing a
+    bit, and consecutive chunks of the flat pair list spread the
+    triangle's uneven rows evenly.
+    """
+    square = cols is None
+    cols = rows if square else cols
+    out = np.empty((sum(a.n for a in rows), sum(b.n for b in cols)))
+    pairs = [
+        (a, b)
+        for k, a in enumerate(rows)
+        for b in (cols[k:] if square else cols)
+    ]
+
+    def run(chunk):
+        for a, b in chunk:
+            block = _block(a, b, measure)
+            out[np.ix_(a.ids, b.ids)] = block
+            if square:
+                out[np.ix_(b.ids, a.ids)] = block.T
+
+    if threads == 1 or len(pairs) < 2 * threads:
+        run(pairs)
+    else:
+        step = -(-len(pairs) // (threads * 8))
+        chunks = [pairs[k : k + step] for k in range(0, len(pairs), step)]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, chunks))
     return out
 
 
@@ -160,47 +266,23 @@ def pairwise_distances(
 ) -> DistanceMatrix:
     """All pairwise distances under one measure.
 
+    Only the upper triangle of point blocks is computed, each block once for
+    both directions, so the cost is about n²/2 blocks. Entry (i, j) equals
+    the scalar ``dist_*`` call bit for bit.
+
     Parameters
     ----------
     t : Tractogram
     measure : {"mcp", "haus", "ep"}
     threads : int or None
-        Worker threads for row assembly. None reads TRACTSPARSE_THREADS
+        Worker threads sharing the tiles. None reads TRACTSPARSE_THREADS
         (default 1). The result is bitwise identical for any thread count.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
     validate_tractogram(t)
-    threads = _resolve_threads(threads)
-    n = len(t)
-
-    if measure == "ep":
-        points = [s.endpoints for s in t]
-    else:
-        points = [s.points for s in t]
-    counts = np.array([p.shape[0] for p in points])
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    all_points = np.concatenate(points)
-
-    directed = np.empty((n, n))
-    if threads == 1 or n < 2 * threads:
-        directed[:] = _directed_rows(points, all_points, starts, measure, 0, n)
-    else:
-        block = max(1, -(-n // (threads * 8)))
-        bounds = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(
-                lambda b: _directed_rows(points, all_points, starts, measure, *b),
-                bounds,
-            )
-            for (lo, hi), part in zip(bounds, parts):
-                directed[lo:hi] = part
-
-    if measure == "haus":
-        values = np.maximum(directed, directed.T)
-    else:
-        values = (directed + directed.T) / 2.0
-    return DistanceMatrix(n=n, values=values)
+    values = _assemble(_tiles(t, measure), None, measure, _resolve_threads(threads))
+    return DistanceMatrix(n=len(t), values=values)
 
 
 def cross_distances(
@@ -209,47 +291,16 @@ def cross_distances(
     """Rectangular distance block between two streamline sets.
 
     Entry (i, j) is the same symmetrized measure ``pairwise_distances`` uses,
-    so ``cross_distances(t, t)`` equals the square matrix bit for bit.
+    so ``cross_distances(t, t)`` equals the square matrix bit for bit. One
+    pass over the a × b point blocks serves both directions.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
     validate_tractogram(a)
     validate_tractogram(b)
-    threads = _resolve_threads(threads)
-    na, nb = len(a), len(b)
-
-    if measure == "ep":
-        pts_a = [s.endpoints for s in a]
-        pts_b = [s.endpoints for s in b]
-    else:
-        pts_a = [s.points for s in a]
-        pts_b = [s.points for s in b]
-
-    def directed(points_src, points_tgt):
-        counts = np.array([p.shape[0] for p in points_tgt])
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        tgt = np.concatenate(points_tgt)
-        n_src = len(points_src)
-        out = np.empty((n_src, len(points_tgt)))
-        if threads == 1 or n_src < 2 * threads:
-            out[:] = _directed_rows(points_src, tgt, starts, measure, 0, n_src)
-            return out
-        block = max(1, -(-n_src // (threads * 8)))
-        bounds = [(lo, min(lo + block, n_src)) for lo in range(0, n_src, block)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(
-                lambda bo: _directed_rows(points_src, tgt, starts, measure, *bo),
-                bounds,
-            )
-            for (lo, hi), part in zip(bounds, parts):
-                out[lo:hi] = part
-        return out
-
-    d_ab = directed(pts_a, pts_b)
-    d_ba = directed(pts_b, pts_a)
-    if measure == "haus":
-        return np.maximum(d_ab, d_ba.T)
-    return (d_ab + d_ba.T) / 2.0
+    return _assemble(
+        _tiles(a, measure), _tiles(b, measure), measure, _resolve_threads(threads)
+    )
 
 
 def build_endpoint_graph(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import MEASURES, DistanceMatrix, cross_distances
+from .distances import MEASURES, DistanceMatrix, cross_distances, pairwise_distances
 from .errors import AllZeroDistances, EigenFailure, NoConvergence, RankDeficientWarning
 from .linalg import sym_eig
 from .model import Tractogram, _frozen_array, validate_tractogram
@@ -240,13 +240,10 @@ def nystrom_kernel(
     rest = np.setdiff1d(np.arange(n), landmarks)
 
     t_land = Tractogram(tuple(t[i] for i in landmarks))
-    d_aa = cross_distances(t_land, t_land, measure, threads=threads)
+    d_aa = pairwise_distances(t_land, measure, threads=threads)
     if gamma is None:
-        if p < 2:
-            gamma = 1.0
-        else:
-            gamma = select_gamma(DistanceMatrix(n=p, values=d_aa))
-    k_aa = np.exp(-gamma * np.square(d_aa))
+        gamma = 1.0 if p < 2 else select_gamma(d_aa)
+    k_aa = np.exp(-gamma * np.square(d_aa.values))
 
     shift = 0.0
     lam_min = _lambda_min(k_aa)

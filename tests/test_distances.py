@@ -220,6 +220,75 @@ def test_cross_distances_matches_scalar_calls(name):
             assert block[i, j] == DISTS[name](ta[i], tb[j])
 
 
+# Streamlines long enough that NumPy would sum their point minima pairwise
+# (8+ values) and that a tile holds only one to three of them.
+LONG = dict(n_min=130, n_max=300)
+
+
+@pytest.mark.parametrize("name", ["mcp", "haus", "ep"])
+def test_long_streamlines_match_scalar_calls_bitwise(name):
+    from tractsparse.distances import cross_distances
+
+    rng = np.random.default_rng(42)
+    t = random_tractogram(rng, 7, **LONG)
+    tb = random_tractogram(rng, 5, **LONG)
+    d = pairwise_distances(t, name).values
+    block = cross_distances(t, tb, name)
+    for i in range(7):
+        for j in range(7):
+            assert d[i, j] == DISTS[name](t[i], t[j])
+        for j in range(5):
+            assert block[i, j] == DISTS[name](t[i], tb[j])
+
+
+@pytest.mark.parametrize("name", ["mcp", "haus", "ep"])
+def test_cross_distances_transpose_symmetry(name):
+    from tractsparse.distances import cross_distances
+
+    rng = np.random.default_rng(43)
+    ta = Tractogram(
+        random_tractogram(rng, 6).streamlines
+        + random_tractogram(rng, 3, **LONG).streamlines
+    )
+    tb = random_tractogram(rng, 4, **LONG)
+    assert np.array_equal(
+        cross_distances(ta, tb, name), cross_distances(tb, ta, name).T
+    )
+
+
+@pytest.mark.parametrize("name", ["mcp", "haus", "ep"])
+def test_cross_distances_single_streamline_matches_scalar(name):
+    from tractsparse.distances import cross_distances
+
+    rng = np.random.default_rng(44)
+    for _ in range(5):
+        a = random_streamline(rng, **LONG)
+        b = random_streamline(rng, **LONG)
+        block = cross_distances(Tractogram((a,)), Tractogram((b,)), name)
+        assert block[0, 0] == DISTS[name](a, b)
+
+
+@pytest.mark.parametrize("name", ["mcp", "haus", "ep"])
+def test_threads_over_many_tiles_bitwise_identical(name):
+    from tractsparse.distances import _tiles, cross_distances
+
+    rng = np.random.default_rng(45)
+    if name == "ep":  # two points per streamline: a tile holds hundreds
+        ta, tb = random_tractogram(rng, 800), random_tractogram(rng, 300)
+    else:
+        ta, tb = random_tractogram(rng, 9, **LONG), random_tractogram(rng, 7, **LONG)
+    # enough tile pairs that every worker count below uses the pool
+    n_a, n_b = len(_tiles(ta, name)), len(_tiles(tb, name))
+    assert n_a * (n_a + 1) // 2 >= 8 and n_a * n_b >= 8
+    square = pairwise_distances(ta, name, threads=1).values
+    block = cross_distances(ta, tb, name, threads=1)
+    for workers in (2, 3, 4):
+        got = pairwise_distances(ta, name, threads=workers).values
+        assert np.array_equal(got, square)
+        got = cross_distances(ta, tb, name, threads=workers)
+        assert np.array_equal(got, block)
+
+
 # --- endpoint graph --------------------------------------------------------
 
 def test_endpoint_graph_coincident_connected():
