@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -26,6 +25,7 @@ from .atlas import build_atlas, load_atlas, save_atlas, segment_with_atlas
 from .distances import (
     DEFAULT_ENDPOINT_THRESHOLD_MM,
     MEASURES,
+    _resolve_threads,
     build_endpoint_graph,
     graph_laplacian,
     pairwise_distances,
@@ -64,14 +64,6 @@ from .synth import PRESETS, BundleSpec, generate
 
 class UsageError(Exception):
     """Bad flag combination or unknown name; maps to exit code 2."""
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("TRACTSPARSE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise UsageError(f"TRACTSPARSE_THREADS={raw!r} is not an integer") from exc
 
 
 def _read_tract(path):
@@ -511,13 +503,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse already printed the message; keep its code (2 on usage)
         return int(exc.code or 0)
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        try:
-            args.threads = _default_threads()
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
+        if hasattr(args, "threads") and args.threads is None:
+            try:
+                args.threads = _resolve_threads(None)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -146,8 +146,19 @@ def dist_ep(a: Streamline, b: Streamline) -> float:
 
 
 def _resolve_threads(threads: int | None) -> int:
+    """Worker count: ``threads``, else $TRACTSPARSE_THREADS, else 1.
+
+    An empty variable counts as unset; a non-integer one raises ValueError
+    naming it.
+    """
     if threads is None:
-        threads = int(os.environ.get("TRACTSPARSE_THREADS", "1") or "1")
+        raw = os.environ.get("TRACTSPARSE_THREADS") or "1"
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"TRACTSPARSE_THREADS={raw!r} is not an integer"
+            ) from None
     return max(1, int(threads))
 
 

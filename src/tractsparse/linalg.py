@@ -33,11 +33,6 @@ def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def _is_symmetric(a: np.ndarray) -> bool:
-    scale = max(1.0, np.abs(a).max() if a.size else 0.0)
-    return np.abs(a - a.T).max(initial=0.0) <= _SYM_TOL * scale
-
-
 def sym_eig(a: np.ndarray):
     """Eigendecomposition of a symmetric matrix.
 
@@ -55,60 +50,23 @@ def sym_eig(a: np.ndarray):
 
 @dataclass(frozen=True)
 class SchurForm:
-    """Real Schur decomposition A = Q·T·Qᵀ.
+    """Real Schur form A = Q·diag(eigenvalues)·Qᵀ of a symmetric matrix.
 
-    For symmetric input T is diagonal (the eigendecomposition); otherwise T
-    is upper quasi-triangular with 2x2 blocks for complex eigenvalue pairs.
+    The eigenvalues are ascending; q holds orthonormal eigenvectors as
+    columns.
     """
 
     q: np.ndarray
-    t: np.ndarray
-    is_diagonal: bool
-
-    @property
-    def n(self) -> int:
-        return self.t.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues read off the (quasi-)triangular factor."""
-        if self.is_diagonal:
-            return np.diagonal(self.t).astype(complex)
-        return _quasi_triangular_eigvals(self.t)
-
-
-def _quasi_triangular_eigvals(t: np.ndarray) -> np.ndarray:
-    n = t.shape[0]
-    vals = np.empty(n, dtype=complex)
-    k = 0
-    while k < n:
-        if k + 1 < n and t[k + 1, k] != 0.0:
-            # 2x2 block: eigenvalues from its characteristic polynomial.
-            tr = t[k, k] + t[k + 1, k + 1]
-            det = t[k, k] * t[k + 1, k + 1] - t[k, k + 1] * t[k + 1, k]
-            disc = tr * tr / 4.0 - det
-            root = np.sqrt(complex(disc))
-            vals[k] = tr / 2.0 + root
-            vals[k + 1] = tr / 2.0 - root
-            k += 2
-        else:
-            vals[k] = t[k, k]
-            k += 1
-    return vals
+    eigenvalues: np.ndarray
 
 
 def schur_form(a: np.ndarray) -> SchurForm:
-    """Schur decomposition, using the eigendecomposition when symmetric."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    if _is_symmetric(a):
-        w, v = sym_eig(a)
-        return SchurForm(q=v, t=np.diag(w), is_diagonal=True)
-    try:
-        t, q = scipy.linalg.schur(a, output="real")
-    except scipy.linalg.LinAlgError as exc:
-        raise NoConvergence(f"Schur decomposition failed: {exc}") from exc
-    return SchurForm(q=q, t=t, is_diagonal=False)
+    """Schur form of a symmetric matrix, i.e. its eigendecomposition.
+
+    Raises ValueError for input that is not square or not symmetric.
+    """
+    w, v = sym_eig(a)
+    return SchurForm(q=v, eigenvalues=w)
 
 
 def _solve_gram(gram, rhs, ridge_scale):
@@ -123,7 +81,7 @@ def _solve_gram(gram, rhs, ridge_scale):
     raise SingularAfterRidge("Gram subsystem is singular even after ridge")
 
 
-def nnls(gram: np.ndarray, rhs: np.ndarray, max_iter: int | None = None) -> np.ndarray:
+def nnls(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimize wᵀ·Gram·w − 2·rhsᵀ·w subject to w ≥ 0.
 
     Active-set iteration in the style of Lawson-Hansen, phrased directly on
@@ -137,8 +95,7 @@ def nnls(gram: np.ndarray, rhs: np.ndarray, max_iter: int | None = None) -> np.n
         raise ValueError("gram and rhs dimensions disagree")
     if s == 0:
         return np.zeros(0)
-    if max_iter is None:
-        max_iter = 3 * s + 30
+    max_iter = 3 * s + 30
     ridge_scale = max(1.0, np.abs(np.diagonal(gram)).max())
     tol = 1e-12 * max(1.0, np.abs(rhs).max(initial=0.0))
 
@@ -210,21 +167,18 @@ def ridge_solve(a: np.ndarray, b: np.ndarray, ridge: float = 1e-8) -> np.ndarray
     return x
 
 
-def _pencil_tolerance(ep, eq):
-    scale = max(1.0, np.abs(ep).max(initial=0.0), np.abs(eq).max(initial=0.0))
-    return 1e-12 * scale
-
-
 def sylvester_solve(
     p: np.ndarray,
     q: np.ndarray,
     r: np.ndarray,
     schur_q: SchurForm | None = None,
 ) -> np.ndarray:
-    """Solve P·W + W·Q = R by Bartels-Stewart.
+    """Solve P·W + W·Q = R for symmetric P and Q.
 
-    ``schur_q`` lets callers reuse the decomposition of a fixed Q across many
-    solves; only P then needs factoring per call.
+    With P = U·diag(λ)·Uᵀ and Q = V·diag(ν)·Vᵀ the equation is diagonal in
+    the two eigenbases: W = U·[(UᵀRV)ᵢⱼ / (λᵢ + νⱼ)]·Vᵀ. ``schur_q`` lets
+    callers reuse the decomposition of a fixed Q across many solves; only P
+    is then decomposed per call. Non-symmetric P or Q raises ValueError.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -235,52 +189,23 @@ def sylvester_solve(
 
     sp = schur_form(p)
     sq = schur_q if schur_q is not None else schur_form(q)
-    if sq.t.shape[0] != n:
+    if sq.eigenvalues.shape[0] != n:
         raise ValueError("precomputed Schur form does not match q")
 
-    ep = sp.eigenvalues()
-    eq = sq.eigenvalues()
-    gap = np.abs(ep[:, None] + eq[None, :]).min()
-    if gap <= _pencil_tolerance(ep, eq):
+    denom = sp.eigenvalues[:, None] + sq.eigenvalues[None, :]
+    gap = np.abs(denom).min()
+    scale = max(
+        1.0,
+        np.abs(sp.eigenvalues).max(initial=0.0),
+        np.abs(sq.eigenvalues).max(initial=0.0),
+    )
+    if gap <= 1e-12 * scale:
         raise SingularPencil(
             f"spectra of P and -Q overlap (minimum |λ_P + λ_Q| = {gap:.3e})"
         )
 
-    rt = sp.q.T @ r @ sq.q
-    if sp.is_diagonal and sq.is_diagonal:
-        lam_p = np.real(ep)
-        lam_q = np.real(eq)
-        wt = rt / (lam_p[:, None] + lam_q[None, :])
-    else:
-        wt = _bartels_stewart(sp.t, sq.t, rt)
+    wt = (sp.q.T @ r @ sq.q) / denom
     w = sp.q @ wt @ sq.q.T
     if not np.isfinite(w).all():
-        raise SylvesterFailure("back-substitution produced non-finite values")
+        raise SylvesterFailure("eigenbasis solve produced non-finite values")
     return w
-
-
-def _bartels_stewart(tp: np.ndarray, tq: np.ndarray, rt: np.ndarray) -> np.ndarray:
-    """Back-substitution for upper quasi-triangular tp and tq.
-
-    Works left to right over the column blocks of tq; each block is a 1- or
-    2-column solve against (tp + block·I) in Kronecker form.
-    """
-    m, n = rt.shape
-    wt = np.zeros((m, n))
-    eye_m = np.eye(m)
-    k = 0
-    while k < n:
-        wide = k + 1 < n and tq[k + 1, k] != 0.0
-        cols = slice(k, k + 2) if wide else slice(k, k + 1)
-        rhs = rt[:, cols] - wt[:, :k] @ tq[:k, cols]
-        block = tq[cols, cols]
-        # vec(P·W + W·B = C) with column-major vec: (I⊗P + Bᵀ⊗I)·vec(W) = vec(C)
-        width = 2 if wide else 1
-        sys = np.kron(np.eye(width), tp) + np.kron(block.T, eye_m)
-        try:
-            sol = np.linalg.solve(sys, rhs.reshape((m * width,), order="F"))
-        except np.linalg.LinAlgError as exc:
-            raise SingularPencil(f"singular block at column {k}: {exc}") from exc
-        wt[:, cols] = sol.reshape((m, width), order="F")
-        k += width
-    return wt

@@ -408,6 +408,14 @@ def _nnkomp_column(atk_col, atka, s_max, excluded):
     return w
 
 
+def _pursuit(atk, atka, s_max, excluded):
+    """Run the pursuit on every column of atk; returns W (atoms × columns)."""
+    w = np.zeros(atk.shape)
+    for i in range(atk.shape[1]):
+        w[:, i] = _nnkomp_column(atk[:, i], atka, s_max, excluded)
+    return w
+
+
 def nnkomp(k: KernelMatrix, a, i: int, s_max: int) -> np.ndarray:
     """Greedy non-negative pursuit of one streamline's soft memberships.
 
@@ -498,8 +506,7 @@ def ksc_fit(k: KernelMatrix, cfg: SolverConfig, init: Labeling | Dictionary) -> 
     labeling, unassigned = hard_labels(w)
     for iterations in range(1, t_outer + 1):
         atk, atka = _atk_atka(k, a.a)
-        for i in range(n):
-            w[:, i] = _nnkomp_column(atk[:, i], atka, cfg.s_max, a.empty)
+        w = _pursuit(atk, atka, cfg.s_max, a.empty)
         a = mult_update_A(k, w, a)
         a = prune_dictionary(a)
         trace.append(reconstruction_cost(k, a.a, w))
@@ -723,8 +730,9 @@ def gksc_fit(
     the sweep budget is returned with converged=False rather than raising.
 
     With a Laplacian, λ_L·tr(WLWᵀ) smooths memberships over the endpoint
-    graph: the W-solve becomes a Sylvester equation whose Q-side Schur form
-    is precomputed once, and A is refined multiplicatively on Z. With
+    graph: the W-solve becomes a Sylvester equation, solved in the
+    eigenbases of P = AᵀKA + μI and Q = λ_L·L. Q's eigendecomposition is
+    computed once per fit, and A is refined multiplicatively on Z. With
     λ2 = 0 and no Laplacian the same loop runs with the L1 term alone.
 
     Otherwise (λ2 > 0, the default) the group prior lets whole clusters
@@ -827,8 +835,6 @@ def segment_with_dictionary(
     _, atka = _atk_atka(k_train, amat)
     atk_new = amat.T @ cross_kernel
     excluded = _empty_flags(a, amat.shape[1])
-    w = np.zeros((amat.shape[1], cross_kernel.shape[1]))
-    for i in range(cross_kernel.shape[1]):
-        w[:, i] = _nnkomp_column(atk_new[:, i], atka, s_max, excluded)
+    w = _pursuit(atk_new, atka, s_max, excluded)
     labeling, unassigned = hard_labels(w, exclude=excluded)
     return Assignment(w), labeling, unassigned

@@ -300,6 +300,14 @@ def test_threads_env_default(workdir, tmp_path, monkeypatch):
     assert sha(out) == sha(workdir / "d.dm")
 
 
+def test_threads_env_empty_means_one_thread(workdir, tmp_path, monkeypatch):
+    monkeypatch.setenv("TRACTSPARSE_THREADS", "")
+    out = tmp_path / "d_empty.dm"
+    assert main(["distances", "--in", str(workdir / "data" / "tract.slb"),
+                 "--out", str(out)]) == 0
+    assert sha(out) == sha(workdir / "d.dm")
+
+
 def test_threads_env_garbage_is_usage_error(workdir, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TRACTSPARSE_THREADS", "many")
     rc = main(["distances", "--in", str(workdir / "data" / "tract.slb"),

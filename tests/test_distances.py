@@ -176,6 +176,14 @@ def test_pairwise_threads_env_var(monkeypatch):
     assert np.array_equal(pairwise_distances(t, "mcp", threads=None).values, ref)
 
 
+def test_pairwise_threads_env_var_garbage_names_variable(monkeypatch):
+    rng = np.random.default_rng(34)
+    t = random_tractogram(rng, 5)
+    monkeypatch.setenv("TRACTSPARSE_THREADS", "many")
+    with pytest.raises(ValueError, match="TRACTSPARSE_THREADS"):
+        pairwise_distances(t, "mcp", threads=None)
+
+
 def test_pairwise_rejects_empty_and_bad_measure():
     with pytest.raises(EmptyTractogram):
         pairwise_distances(Tractogram(()))
