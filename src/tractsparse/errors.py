@@ -58,10 +58,6 @@ class EigenFailure(NumericalError):
     pass
 
 
-class NoConvergence(NumericalError):
-    pass
-
-
 class MaxIterations(NumericalError):
     pass
 

@@ -235,8 +235,7 @@ def read_dm(path) -> DistanceMatrix:
 
 def write_dm_csv(d: DistanceMatrix, path):
     """Full square matrix, one row per line, for external tools."""
-    lines = [",".join(_fmt(v) for v in row) for row in d.values]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    write_dense_csv(d.values, path)
 
 
 # --- kernel matrix ---------------------------------------------------------
@@ -354,10 +353,6 @@ def read_sparse_csv(path, shape) -> np.ndarray:
 
 # --- fit result directory --------------------------------------------------
 
-def config_to_dict(cfg: SolverConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def write_fit_dir(result, cfg: SolverConfig, out_dir, method: str):
     """Persist a solver run: W and A matrices, labels, traces, and config.
 
@@ -383,6 +378,6 @@ def write_fit_dir(result, cfg: SolverConfig, out_dir, method: str):
         p = _fmt(primal[i]) if i < len(primal) else ""
         lines.append(f"{i},{c},{p}")
     _atomic_write_text(out / "trace.csv", "\n".join(lines) + "\n")
-    config = dict(config_to_dict(cfg), method=method)
+    config = dict(dataclasses.asdict(cfg), method=method)
     _atomic_write_text(out / "config.json", json.dumps(config, indent=2, sort_keys=True) + "\n")
     return out

@@ -14,13 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distances import MEASURES, DistanceMatrix, cross_distances, pairwise_distances
-from .errors import AllZeroDistances, EigenFailure, NoConvergence, RankDeficientWarning
+from .errors import AllZeroDistances, RankDeficientWarning
 from .linalg import sym_eig
 from .model import Tractogram, _frozen_array, validate_tractogram
-
-# Above this size the smallest eigenvalue comes from a power iteration
-# instead of a full decomposition.
-_DENSE_EIG_LIMIT = 4000
 
 _EIG_FLOOR_REL = 1e-10
 
@@ -126,52 +122,16 @@ def rbf_kernel(d: DistanceMatrix, gamma: float) -> KernelMatrix:
     return KernelMatrix(n=d.n, gamma=float(gamma), shift=0.0, dense_values=values)
 
 
-def _lambda_min_power(values, tol=1e-6, max_iter=10000, seed=0):
-    """Smallest eigenvalue of a symmetric matrix via power iteration on c·I−K.
-
-    c is the row-sum bound on the spectral radius, so c·I−K is PSD and its
-    dominant eigenvalue is c − λ_min.
-    """
-    n = values.shape[0]
-    c = float(np.abs(values).sum(axis=1).max())
-    if c == 0.0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=n)
-    v /= np.linalg.norm(v)
-    prev = None
-    for _ in range(max_iter):
-        u = c * v - values @ v
-        lam = float(v @ u)
-        nrm = np.linalg.norm(u)
-        if nrm == 0.0:
-            return c - lam
-        v = u / nrm
-        if prev is not None and abs(lam - prev) <= tol * max(1.0, abs(lam)):
-            return c - lam
-        prev = lam
-    raise EigenFailure("power iteration for the smallest eigenvalue stalled")
-
-
-def _lambda_min(values: np.ndarray) -> float:
-    if values.shape[0] <= _DENSE_EIG_LIMIT:
-        try:
-            w, _ = sym_eig(values)
-        except NoConvergence as exc:
-            raise EigenFailure(str(exc)) from exc
-        return float(w[0])
-    return _lambda_min_power(values)
-
-
 def spectrum_shift(k: KernelMatrix) -> KernelMatrix:
     """Add |λ_min|·I when the kernel is indefinite, recording the shift.
 
-    Only the self-similarities change; this is what licenses reusing the
-    unshifted formula for cross-kernel rows against held-out streamlines.
+    λ_min comes from a one-pair partial eigensolve. Only the
+    self-similarities change; this is what licenses reusing the unshifted
+    formula for cross-kernel rows against held-out streamlines.
     """
     if k.is_factored:
         raise ValueError("spectrum shift applies to the dense form only")
-    lam_min = _lambda_min(np.asarray(k.dense_values))
+    lam_min = float(sym_eig(k.dense_values, count=1)[0][0])
     if lam_min >= 0.0:
         return k
     shift = -lam_min
@@ -246,7 +206,7 @@ def nystrom_kernel(
     k_aa = np.exp(-gamma * np.square(d_aa.values))
 
     shift = 0.0
-    lam_min = _lambda_min(k_aa)
+    lam_min = float(sym_eig(k_aa, count=1)[0][0])
     if lam_min < 0.0:
         shift = -lam_min
         k_aa = k_aa + shift * np.eye(p)

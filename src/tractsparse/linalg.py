@@ -13,8 +13,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
+    EigenFailure,
     MaxIterations,
-    NoConvergence,
     SingularAfterRidge,
     SingularPencil,
     SylvesterFailure,
@@ -33,18 +33,25 @@ def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def sym_eig(a: np.ndarray):
-    """Eigendecomposition of a symmetric matrix.
+def sym_eig(a: np.ndarray, count: int | None = None):
+    """Eigendecomposition of a symmetric matrix, in full or its low end.
+
+    With ``count`` set, only the ``count`` smallest eigenpairs are computed
+    (LAPACK's subset driver), which costs far less than the full
+    decomposition when ``count`` is small next to n.
 
     Returns
     -------
     (w, v) : eigenvalues ascending, orthonormal eigenvectors as columns.
+
+    Raises EigenFailure when LAPACK does not converge.
     """
     a = _require_symmetric(a, "matrix")
+    subset = None if count is None else [0, count - 1]
     try:
-        w, v = scipy.linalg.eigh(a)
+        w, v = scipy.linalg.eigh(a, subset_by_index=subset)
     except scipy.linalg.LinAlgError as exc:
-        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
+        raise EigenFailure(f"symmetric eigensolver failed: {exc}") from exc
     return w, v
 
 
@@ -84,7 +91,7 @@ def _solve_gram(gram, rhs, ridge_scale):
 def nnls(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimize wᵀ·Gram·w − 2·rhsᵀ·w subject to w ≥ 0.
 
-    Active-set iteration in the style of Lawson-Hansen, phrased directly on
+    Active-set iteration in the style of Lawson–Hanson, phrased directly on
     the Gram system (the problem sizes here are at most a handful of
     coordinates, so exactness beats speed).
     """

@@ -28,9 +28,7 @@ import numpy as np
 
 from .errors import (
     DegenerateAtom,
-    EigenFailure,
     EmptyCluster,
-    NoConvergence,
     ZeroDegreeRow,
 )
 from .kernel import KernelMatrix
@@ -170,7 +168,10 @@ def reconstruction_cost(k: KernelMatrix, a, w) -> float:
 def spectral_embedding(k: KernelMatrix, n_eig: int = 10) -> np.ndarray:
     """Row-normalized eigenvectors of the normalized kernel Laplacian.
 
-    Uses the n_eig smallest eigenvalues of I − D^{−1/2}·K·D^{−1/2}.
+    Uses the n_eig smallest eigenvalues of I − D^{−1/2}·K·D^{−1/2}. Only
+    those min(n_eig, n) eigenpairs are computed, not the full spectrum. Each
+    vector is determined up to sign, which k-means on the normalized rows
+    does not see.
     """
     kd = k.dense()
     n = k.n
@@ -181,11 +182,7 @@ def spectral_embedding(k: KernelMatrix, n_eig: int = 10) -> np.ndarray:
     inv_sqrt = 1.0 / np.sqrt(deg)
     lap = np.eye(n) - inv_sqrt[:, None] * kd * inv_sqrt[None, :]
     lap = (lap + lap.T) / 2.0
-    try:
-        _, vecs = sym_eig(lap)
-    except NoConvergence as exc:
-        raise EigenFailure(str(exc)) from exc
-    emb = vecs[:, : min(n_eig, n)].copy()
+    _, emb = sym_eig(lap, count=min(n_eig, n))
     norms = np.linalg.norm(emb, axis=1)
     emb /= np.where(norms > 0, norms, 1.0)[:, None]
     return emb

@@ -192,6 +192,21 @@ def test_cluster_flag_conflicts(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cluster_eigensolver_failure_is_numerical_error(workdir, tmp_path,
+                                                       monkeypatch, capsys):
+    import scipy.linalg
+
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("forced non-convergence")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    rc = main(["cluster", "--in", str(workdir / "data" / "tract.slb"),
+               "--dist", str(workdir / "d.dm"), "--method", "ksc",
+               "--m", "2", "--out", str(tmp_path / "fit")])
+    assert rc == 4
+    assert "eigensolver failed" in capsys.readouterr().err
+
+
 def test_cluster_save_kernel(workdir, tmp_path):
     out = tmp_path / "fit"
     assert main(["cluster", "--in", str(workdir / "data" / "tract.slb"),

@@ -8,7 +8,6 @@ from tractsparse.distances import DistanceMatrix
 from tractsparse.errors import AllZeroDistances, RankDeficientWarning
 from tractsparse.kernel import (
     KernelMatrix,
-    _lambda_min_power,
     _nystrom_factor,
     kernel_from_distances,
     nystrom_kernel,
@@ -110,31 +109,6 @@ def test_spectrum_shift_random_indefinite():
         # only the diagonal moves
         off = ~np.eye(n, dtype=bool)
         assert np.array_equal(shifted.dense_values[off], a[off])
-
-
-def test_lambda_min_power_matches_dense():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        n = 30
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        w = np.sort(rng.uniform(-2.0, 5.0, size=n))
-        w[0] = -3.0  # clear gap at the bottom
-        a = (q * w) @ q.T
-        a = (a + a.T) / 2
-        est = _lambda_min_power(a, tol=1e-10)
-        assert est == pytest.approx(w[0], rel=1e-5, abs=1e-5)
-
-
-def test_spectrum_shift_power_iteration_path(monkeypatch):
-    import tractsparse.kernel as kernel_mod
-
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(25, 25))
-    a = (a + a.T) / 2
-    dense = spectrum_shift(KernelMatrix(n=25, gamma=1.0, dense_values=a))
-    monkeypatch.setattr(kernel_mod, "_DENSE_EIG_LIMIT", 10)
-    power = spectrum_shift(KernelMatrix(n=25, gamma=1.0, dense_values=a))
-    assert power.shift == pytest.approx(dense.shift, rel=1e-4, abs=1e-6)
 
 
 # --- end-to-end dense helper ----------------------------------------------

@@ -77,6 +77,23 @@ def test_sym_eig_many_random_instances():
         assert np.linalg.norm(a @ v - v * w) <= 1e-8 * max(1.0, np.linalg.norm(a))
 
 
+def test_sym_eig_count_matches_full_low_end():
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        n = int(rng.integers(2, 65))
+        a = rng.normal(size=(n, n))
+        a = a + a.T
+        k = int(rng.integers(1, n + 1))
+        w_full, v_full = sym_eig(a)
+        w, v = sym_eig(a, count=k)
+        assert w.shape == (k,) and v.shape == (n, k)
+        np.testing.assert_allclose(w, w_full[:k], rtol=1e-10,
+                                   atol=1e-10 * np.abs(w_full).max())
+        # eigenvectors agree up to sign
+        signs = np.sign(np.sum(v * v_full[:, :k], axis=0))
+        np.testing.assert_allclose(v * signs, v_full[:, :k], atol=1e-8)
+
+
 # --- nnls ------------------------------------------------------------------
 
 def test_nnls_separable():
