@@ -23,10 +23,12 @@ print(
 )
 print(f"training ARI vs truth: {adjusted_rand_index(fit.labels, train_truth):.3f}")
 
-# The atlas directory stores the training set, the dictionary, and the
-# kernel parameters needed to reproduce similarities exactly.
+# The atlas directory stores the training streamlines the atoms use, their
+# rows of the dictionary, and the kernel parameters needed to reproduce
+# similarities exactly.
 save_atlas(atlas, "/tmp/demo.atlas")
 atlas = load_atlas("/tmp/demo.atlas")
+print(f"stored: {len(atlas.training)} training streamlines (the ones the atoms use)")
 
 # A disjoint resample of the same population gets labeled by sparse
 # pursuit against the stored dictionary; no solver runs at test time.

@@ -11,7 +11,7 @@ altered self-similarities.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +131,13 @@ def segment_with_atlas(
     Per streamline x the pursuit sees the correlations Aᵀk_x, where k_x is
     the unshifted cross-kernel row against the training set, and the atom
     Gram AᵀKA from the training kernel with its recorded shift restored.
+
+    Distances are computed against the atlas's training set as given. An
+    atlas from `load_atlas` holds only the streamlines its atoms use, so a
+    ksc atlas costs m training streamlines, not the whole pool; for its
+    one-non-zero columns W is bitwise the same as with the full set. For a
+    hand-built dictionary with several non-zeros per column the shorter sums
+    may differ in the last bits.
     """
     if measure is not None and measure != atlas.measure:
         raise AtlasVersionMismatch(
@@ -157,8 +164,33 @@ def segment_with_atlas(
     return SegmentResult(assignment=assignment, labels=labels, unassigned=unassigned)
 
 
+def _atom_rows(atlas: Atlas) -> Atlas:
+    """The atlas with only the training streamlines its atoms use.
+
+    Rows of A that are zero in every column add nothing to any atom, so the
+    streamlines behind them are dropped with them. An atlas whose columns
+    were all pruned has no such rows and is returned unchanged.
+    """
+    rows = np.flatnonzero(np.any(atlas.dictionary.a != 0.0, axis=1))
+    if rows.size in (0, len(atlas.training)):
+        return atlas
+    return replace(
+        atlas,
+        training=replace(
+            atlas.training, streamlines=tuple(atlas.training[i] for i in rows)
+        ),
+        dictionary=Dictionary(atlas.dictionary.a[rows], atlas.dictionary.empty),
+    )
+
+
 def save_atlas(atlas: Atlas, out_dir) -> Path:
-    """Write the three-file atlas directory."""
+    """Write the three-file atlas directory.
+
+    Only the training streamlines the atoms use are written, with their
+    rows of A (see `_atom_rows`); ``n_training`` in ``kernel.json`` counts
+    them.
+    """
+    atlas = _atom_rows(atlas)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_slb(atlas.training, out / "training.slb")
@@ -177,6 +209,11 @@ def save_atlas(atlas: Atlas, out_dir) -> Path:
 
 
 def load_atlas(path) -> Atlas:
+    """Read an atlas directory, keeping only the streamlines its atoms use.
+
+    A directory that holds the whole training set (format 1 allows it) is
+    read in full and then restricted the same way (see `_atom_rows`).
+    """
     root = Path(path)
     params_file = root / "kernel.json"
     if not params_file.is_file():
@@ -207,7 +244,7 @@ def load_atlas(path) -> Atlas:
     try:
         # pruned-away atoms come back as all-zero columns; restore their flags
         empty = ~np.any(a != 0.0, axis=0)
-        return Atlas(
+        atlas = Atlas(
             training=training,
             dictionary=Dictionary(a, empty),
             measure=measure,
@@ -217,3 +254,4 @@ def load_atlas(path) -> Atlas:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{root}: bad atlas parameters: {exc}") from exc
+    return _atom_rows(atlas)

@@ -93,7 +93,9 @@ def nnls(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Active-set iteration in the style of Lawson–Hanson, phrased directly on
     the Gram system (the problem sizes here are at most a handful of
-    coordinates, so exactness beats speed).
+    coordinates, so exactness beats speed). The batched pursuit follows
+    this path itself while it stays clean and calls this only for systems
+    that take the drop path or need the ridge.
     """
     gram = _require_symmetric(gram, "gram")
     rhs = np.asarray(rhs, dtype=np.float64)

@@ -376,41 +376,97 @@ def kkm_fit(k: KernelMatrix, cfg: SolverConfig, init: Labeling) -> FitResult:
 
 # --- sparse coding ---------------------------------------------------------
 
-def _nnkomp_column(atk_col, atka, s_max, excluded):
+def _pursuit(atk, atka, s_max, excluded):
+    """Greedy non-negative pursuit for every column of atk at once.
+
+    Returns W (atoms × columns) with at most s_max non-zeros per column.
+    Each step adds, per column, the remaining usable atom with the largest
+    positive residual correlation per unit self-similarity (a column stops
+    when none is positive) and refits its selected weights by non-negative
+    least squares (`_refit`). Each column gets the products and solves it
+    would get on its own, batched, so W is bitwise the same whichever
+    columns run together.
+    """
     diag = np.diagonal(atka)
     usable = ~np.asarray(excluded, dtype=bool)
-    if np.any(diag[usable] <= 0.0):
+    if atk.shape[1] and np.any(diag[usable] <= 0.0):
         bad = int(np.flatnonzero(usable & (diag <= 0.0))[0])
         raise DegenerateAtom(f"atom {bad} has self-similarity {diag[bad]}")
-    m = atk_col.size
-    safe_diag = np.where(diag > 0.0, diag, 1.0)
-    w = np.zeros(m)
-    selected: list = []
-    for _ in range(s_max):
-        if selected:
-            resid = atk_col - atka[:, selected] @ w[selected]
-        else:
-            resid = atk_col
-        tau = np.where(usable, resid / safe_diag, -np.inf)
-        if selected:
-            tau[selected] = -np.inf
-        j = int(np.argmax(tau))
-        if not tau[j] > 0.0:
-            break
-        selected.append(j)
-        idx = np.asarray(selected)
-        sol = nnls(atka[np.ix_(idx, idx)], atk_col[idx])
-        w[:] = 0.0
-        w[idx] = sol
-    return w
-
-
-def _pursuit(atk, atka, s_max, excluded):
-    """Run the pursuit on every column of atk; returns W (atoms × columns)."""
+    safe_diag = np.where(diag > 0.0, diag, 1.0)[:, None]
     w = np.zeros(atk.shape)
-    for i in range(atk.shape[1]):
-        w[:, i] = _nnkomp_column(atk[:, i], atka, s_max, excluded)
+    cols = np.arange(atk.shape[1])  # columns still adding atoms
+    sel = np.zeros((0, cols.size), dtype=np.intp)  # their atoms, in selection order
+    for _ in range(s_max):
+        resid = atk[:, cols]
+        if sel.size:
+            # per column the column-major block atka[:, selected], as one
+            # column alone would slice it, so BLAS sums the terms the same way
+            blocks = atka.T[sel.T].transpose(0, 2, 1)
+            weights = np.ascontiguousarray(w[sel, cols].T)[:, :, None]
+            resid = resid - np.matmul(blocks, weights)[:, :, 0].T
+        tau = np.where(usable[:, None], resid / safe_diag, -np.inf)
+        span = np.arange(cols.size)
+        tau[sel, span] = -np.inf
+        j = np.argmax(tau, axis=0)
+        grow = tau[j, span] > 0.0
+        cols, sel = cols[grow], np.vstack([sel[:, grow], j[grow]])
+        if not cols.size:
+            break
+        w[:, cols] = 0.0
+        w[sel, cols] = _refit(atka, atk[sel, cols], sel)
     return w
+
+
+def _refit(atka, rhs, sel):
+    """Non-negative least squares over each column's selected atoms.
+
+    Column i minimizes xᵀGx − 2·bᵀx over x ≥ 0, with G = atka[sᵢ, sᵢ] for
+    the atoms sᵢ = sel[:, i] and b = rhs[:, i]; returns x as sel's shape.
+    All columns follow Lawson–Hanson's path together while it stays
+    clean: add the coordinate with the largest gradient, stop once that
+    gradient is <= tol, otherwise solve over the passive set. Columns that
+    share a passive set share its Gram and are solved in one call. A column
+    whose solve is singular, non-finite or has an entry <= 0 would take the
+    drop path; it is solved again from the start by `nnls`, so every
+    column gets exactly what `nnls` gives it.
+    """
+    atoms = sel.T
+    b = np.ascontiguousarray(rhs.T)
+    gram = atka[atoms[:, :, None], atoms[:, None, :]]
+    tol = 1e-12 * np.maximum(1.0, np.abs(b).max(axis=1))
+    x = np.zeros(b.shape)
+    passive = np.zeros(b.shape, dtype=bool)
+    drop = np.zeros(len(b), dtype=bool)
+    todo = np.arange(len(b))
+    while todo.size:
+        # gram @ x per column, the product nnls forms
+        grad = b[todo] - np.matmul(gram[todo], x[todo][:, :, None])[:, :, 0]
+        grad[passive[todo]] = -np.inf
+        j = np.argmax(grad, axis=1)
+        grow = grad[np.arange(todo.size), j] > tol[todo]
+        todo = todo[grow]
+        passive[todo, j[grow]] = True
+        keys, group = np.unique(
+            np.where(passive[todo], atoms[todo], -1), axis=0, return_inverse=True
+        )
+        group = group.ravel()
+        for g, key in enumerate(keys):
+            rows = todo[group == g]
+            on = np.flatnonzero(key >= 0)
+            try:
+                z = np.linalg.solve(
+                    atka[np.ix_(key[on], key[on])], b[rows][:, on, None]
+                )[:, :, 0]
+            except np.linalg.LinAlgError:
+                drop[rows] = True
+                continue
+            clean = np.isfinite(z).all(axis=1) & (z > 0.0).all(axis=1)
+            drop[rows[~clean]] = True
+            x[rows[clean][:, None], on] = z[clean]
+        todo = todo[~drop[todo]]
+    for i in np.flatnonzero(drop):
+        x[i] = nnls(gram[i], b[i])
+    return x.T
 
 
 def nnkomp(k: KernelMatrix, a, i: int, s_max: int) -> np.ndarray:
@@ -418,13 +474,15 @@ def nnkomp(k: KernelMatrix, a, i: int, s_max: int) -> np.ndarray:
 
     At most s_max atoms are selected; each step adds the most positively
     correlated remaining atom (stopping early when none is positive) and
-    refits all selected weights by non-negative least squares.
+    refits all selected weights by non-negative least squares. This is
+    `_pursuit` on the one column i.
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     amat = _as_a(a)
     atk, atka = _atk_atka(k, amat)
-    return _nnkomp_column(atk[:, i], atka, s_max, _empty_flags(a, amat.shape[1]))
+    excluded = _empty_flags(a, amat.shape[1])
+    return _pursuit(atk[:, i : i + 1], atka, s_max, excluded)[:, 0]
 
 
 def mult_update_A(

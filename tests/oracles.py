@@ -179,3 +179,47 @@ def nnls_on_support(gram, rhs, support):
     for pos, j in enumerate(support):
         w[j] = w_sub[pos]
     return w
+
+
+def column_pursuit(atk, atka, s_max, excluded):
+    """Greedy non-negative pursuit, one column at a time.
+
+    The per-column loop the batched ``solvers._pursuit`` replaces: per
+    column, add the usable unselected atom with the largest positive
+    residual correlation per unit self-similarity, then refit the selected
+    weights with the package's own ``linalg.nnls``. Unlike the rest of this
+    module it shares that solver with the package, because the contract it
+    checks is bitwise equality with the per-column path.
+    """
+    import numpy as np
+    from tractsparse.errors import DegenerateAtom
+    from tractsparse.linalg import nnls
+
+    diag = np.diagonal(atka)
+    usable = ~np.asarray(excluded, dtype=bool)
+    safe_diag = np.where(diag > 0.0, diag, 1.0)
+    w_all = np.zeros(atk.shape)
+    for i in range(atk.shape[1]):
+        if np.any(diag[usable] <= 0.0):
+            raise DegenerateAtom("atom with non-positive self-similarity")
+        col = atk[:, i]
+        w = np.zeros(atk.shape[0])
+        selected = []
+        for _ in range(s_max):
+            if selected:
+                resid = col - atka[:, selected] @ w[selected]
+            else:
+                resid = col
+            tau = np.where(usable, resid / safe_diag, -np.inf)
+            if selected:
+                tau[selected] = -np.inf
+            j = int(np.argmax(tau))
+            if not tau[j] > 0.0:
+                break
+            selected.append(j)
+            idx = np.asarray(selected)
+            sol = nnls(atka[np.ix_(idx, idx)], col[idx])
+            w[:] = 0.0
+            w[idx] = sol
+        w_all[:, i] = w
+    return w_all

@@ -12,6 +12,7 @@ from tractsparse.atlas import (
     segment_with_atlas,
 )
 from tractsparse.errors import AtlasVersionMismatch, EmptyTractogram, FormatError
+from tractsparse.io import read_slb, write_dense_csv, write_slb
 from tractsparse.metrics import adjusted_rand_index
 from tractsparse.solvers import Dictionary
 from tractsparse.synth import preset_separated5
@@ -63,6 +64,73 @@ def test_roundtrip_preserves_segmentation(tmp_path, built):
     after = segment_with_atlas(back, tg_new, threads=2)
     assert np.array_equal(before.labels.labels, after.labels.labels)
     assert np.array_equal(before.assignment.w, after.assignment.w)
+
+
+def support_rows(atlas):
+    return np.flatnonzero(np.any(atlas.dictionary.a != 0.0, axis=1))
+
+
+def write_full_atlas(atlas, out):
+    """A directory holding the whole training set, as format 1 always allowed."""
+    out.mkdir(parents=True)
+    write_slb(atlas.training, out / "training.slb")
+    write_dense_csv(atlas.dictionary.a, out / "a.csv")
+    params = {
+        "format_version": 1,
+        "measure": atlas.measure,
+        "gamma": atlas.gamma,
+        "shift": atlas.shift,
+        "s_max": atlas.s_max,
+        "n_training": len(atlas.training),
+        "m": atlas.m,
+    }
+    text = json.dumps(params, indent=2, sort_keys=True) + "\n"
+    (out / "kernel.json").write_text(text)
+    return out
+
+
+def test_saved_atlas_keeps_only_atom_streamlines(tmp_path, built):
+    _, _, atlas, _ = built
+    rows = support_rows(atlas)
+    assert 0 < rows.size < len(atlas.training)
+    out = save_atlas(atlas, tmp_path / "pop.atlas")
+    stored = read_slb(out / "training.slb")
+    assert len(stored) == rows.size
+    for kept, i in zip(stored, rows):
+        assert np.array_equal(kept.points, atlas.training[i].points)
+    assert json.loads((out / "kernel.json").read_text())["n_training"] == rows.size
+    back = load_atlas(out)
+    assert np.array_equal(back.dictionary.a, atlas.dictionary.a[rows])
+
+
+def test_full_training_directory_loads_compacted(tmp_path, built):
+    _, _, atlas, _ = built
+    out = write_full_atlas(atlas, tmp_path / "full.atlas")
+    back = load_atlas(out)
+    assert len(back.training) == support_rows(atlas).size
+    tg_new, _ = preset_separated5(seed=14, total_count=120)
+    before = segment_with_atlas(atlas, tg_new, threads=2)
+    after = segment_with_atlas(back, tg_new, threads=2)
+    assert np.array_equal(before.assignment.w, after.assignment.w)
+    assert np.array_equal(before.labels.labels, after.labels.labels)
+    assert np.array_equal(before.unassigned, after.unassigned)
+
+
+def test_all_pruned_atlas_keeps_its_training_set(tmp_path):
+    t = line_tract([0.0, 50.0, 100.0])
+    atlas = Atlas(
+        training=t, dictionary=Dictionary(np.zeros((3, 2)), np.ones(2, bool)),
+        measure="mcp", gamma=0.01, shift=0.3, s_max=2,
+    )
+    back = load_atlas(save_atlas(atlas, tmp_path / "pruned.atlas"))
+    assert len(back.training) == 3
+    assert back.dictionary.empty.all()
+    probe = line_tract([10.0, 60.0])
+    before = segment_with_atlas(atlas, probe)
+    after = segment_with_atlas(back, probe)
+    assert np.array_equal(before.assignment.w, after.assignment.w)
+    assert np.array_equal(before.labels.labels, after.labels.labels)
+    assert after.unassigned.all()
 
 
 def test_training_medoid_copy_gets_its_bundle():

@@ -1,20 +1,22 @@
 import numpy as np
 import pytest
 
-from oracles import nnls_on_support, reference_lloyd
+from oracles import column_pursuit, nnls_on_support, reference_lloyd
 from tractsparse.errors import (
     DegenerateAtom,
     EmptyCluster,
     ZeroDegreeRow,
 )
-from tractsparse.kernel import KernelMatrix
+from tractsparse import solvers, synth
+from tractsparse.distances import pairwise_distances
+from tractsparse.kernel import KernelMatrix, kernel_from_distances
 from tractsparse.metrics import adjusted_rand_index
 from tractsparse.model import Labeling, SolverConfig
 from tractsparse.solvers import (
     Assignment,
     Dictionary,
     FitResult,
-    _nnkomp_column,
+    _pursuit,
     _row_values,
     default_lambda2,
     gksc_fit,
@@ -309,6 +311,10 @@ def test_kkm_dictionary_is_normalized_indicator():
 
 # --- greedy pursuit --------------------------------------------------------
 
+def one_column(rhs, gram, s_max, excluded):
+    return _pursuit(np.asarray(rhs)[:, None], gram, s_max, excluded)[:, 0]
+
+
 def test_pursuit_single_atom_matches_nearest_prototype():
     # uniform kernel diagonal makes the ratio rule and the score rule agree
     for seed in range(20):
@@ -344,7 +350,7 @@ def test_pursuit_identity_gram_selects_top_entries():
     q, _ = np.linalg.qr(rng.normal(size=(8, 5)))
     k = KernelMatrix(8, 1.0, 0.0, dense_values=np.eye(8))
     b = q.T @ rng.normal(size=8)
-    w = _nnkomp_column(b, q.T @ q, 3, np.zeros(5, dtype=bool))
+    w = one_column(b, q.T @ q, 3, np.zeros(5, dtype=bool))
     pos = np.flatnonzero(b > 0)
     expect_support = set(pos[np.argsort(b[pos])][-3:])
     assert set(np.flatnonzero(w)) == expect_support
@@ -358,7 +364,7 @@ def test_pursuit_refit_matches_scipy_nnls(seed):
     b_mat = rng.normal(size=(6, 3))
     gram = b_mat.T @ b_mat + 0.1 * np.eye(3)
     rhs = rng.normal(size=3)
-    w = _nnkomp_column(rhs, gram, 2, np.zeros(3, dtype=bool))
+    w = one_column(rhs, gram, 2, np.zeros(3, dtype=bool))
     support = np.flatnonzero(w)
     assert support.size <= 2
     assert np.all(w >= 0.0)
@@ -376,7 +382,7 @@ def test_pursuit_widening_budget_never_hurts():
         none = np.zeros(5, dtype=bool)
         objs = []
         for s in (1, 2, 3):
-            w = _nnkomp_column(rhs, gram, s, none)
+            w = one_column(rhs, gram, s, none)
             objs.append(float(w @ gram @ w - 2.0 * rhs @ w))
         assert objs[1] <= objs[0] + 1e-12
         assert objs[2] <= objs[1] + 1e-12
@@ -384,7 +390,7 @@ def test_pursuit_widening_budget_never_hurts():
 
 def test_pursuit_no_positive_correlation_gives_zero():
     gram = np.eye(3)
-    w = _nnkomp_column(np.array([-1.0, -0.5, 0.0]), gram, 2, np.zeros(3, bool))
+    w = one_column(np.array([-1.0, -0.5, 0.0]), gram, 2, np.zeros(3, bool))
     assert np.array_equal(w, np.zeros(3))
 
 
@@ -392,20 +398,129 @@ def test_pursuit_skips_excluded_atoms():
     gram = np.eye(3)
     rhs = np.array([5.0, 1.0, 0.5])
     excluded = np.array([True, False, False])
-    w = _nnkomp_column(rhs, gram, 1, excluded)
+    w = one_column(rhs, gram, 1, excluded)
     assert np.flatnonzero(w).tolist() == [1]
 
 
 def test_pursuit_degenerate_atom_raises():
     gram = np.zeros((2, 2))
     with pytest.raises(DegenerateAtom):
-        _nnkomp_column(np.array([1.0, 1.0]), gram, 1, np.zeros(2, bool))
+        one_column(np.array([1.0, 1.0]), gram, 1, np.zeros(2, bool))
 
 
 def test_pursuit_rejects_bad_budget():
     k = KernelMatrix(2, 1.0, 0.0, dense_values=np.eye(2))
     with pytest.raises(ValueError):
         nnkomp(k, np.eye(2), 0, 0)
+
+
+def count_nnls(monkeypatch):
+    calls = []
+    real = solvers.nnls
+
+    def counted(gram, rhs):
+        calls.append(rhs.size)
+        return real(gram, rhs)
+
+    monkeypatch.setattr(solvers, "nnls", counted)
+    return calls
+
+
+PRESETS = {
+    "sep5": lambda: synth.preset_separated5(seed=1, total_count=150),
+    "crossing2": lambda: synth.preset_crossing2(seed=1, count_per_bundle=60),
+    "overlap3": lambda: synth.preset_overlap3(seed=1, count_per_bundle=50),
+}
+
+
+def preset_dictionaries(k, m):
+    """Spectral, multiplicatively refined and random sparse dictionaries."""
+    spectral = init_dictionary_from_labels(spectral_init(k, m=m, seed=1), k)
+    atk, atka = solvers._atk_atka(k, spectral.a)
+    refined = mult_update_A(k, _pursuit(atk, atka, 3, spectral.empty), spectral)
+    rng = np.random.default_rng(m)
+    a = np.zeros((k.n, m))
+    for j in range(m):
+        a[rng.choice(k.n, size=3, replace=False), j] = rng.random(3)
+    return {"spectral": spectral, "refined": refined, "random": Dictionary(a)}
+
+
+@pytest.mark.parametrize("preset,m", [("sep5", 5), ("crossing2", 8), ("overlap3", 6)])
+def test_pursuit_matches_column_oracle(preset, m):
+    tg, _ = PRESETS[preset]()
+    k = kernel_from_distances(pairwise_distances(tg, "mcp"))
+    for name, d in preset_dictionaries(k, m).items():
+        atk, atka = solvers._atk_atka(k, d.a)
+        for s_max in range(1, 7):
+            excluded = np.zeros(m, dtype=bool)
+            if s_max % 2 == 0:
+                excluded[[0, m - 1]] = True
+            w = _pursuit(atk, atka, s_max, excluded)
+            expected = column_pursuit(atk, atka, s_max, excluded)
+            assert np.array_equal(w, expected), (name, s_max)
+            assert np.all(np.count_nonzero(w, axis=0) <= s_max)
+
+
+def test_pursuit_zero_columns():
+    gram = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])
+    none = np.zeros(3, dtype=bool)
+    assert _pursuit(np.zeros((3, 0)), gram, 3, none).shape == (3, 0)
+    atk = np.zeros((3, 4))
+    atk[:, 1] = [1.0, 0.4, 0.1]
+    atk[:, 3] = [-1.0, -0.5, 0.0]
+    w = _pursuit(atk, gram, 3, none)
+    assert np.array_equal(w, column_pursuit(atk, gram, 3, none))
+    assert np.array_equal(np.flatnonzero(w.any(axis=0)), [1])
+
+
+def test_pursuit_drop_path_falls_back_to_nnls(monkeypatch):
+    # near-collinear atoms make Lawson–Hanson retire a coordinate now and then
+    calls = count_nnls(monkeypatch)
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=6)[:, None] + 0.5 * rng.normal(size=(6, 4))
+        gram = v.T @ v
+        gram = (gram + gram.T) / 2.0
+        atk = gram @ rng.normal(size=(4, 3))
+        none = np.zeros(4, dtype=bool)
+        before = len(calls)
+        w = _pursuit(atk, gram, 4, none)
+        assert len(calls) - before <= atk.shape[1] * 4
+        assert np.array_equal(w, column_pursuit(atk, gram, 4, none)), seed
+    assert len(calls) >= 2
+
+
+def test_pursuit_singular_passive_set_falls_back_to_nnls(monkeypatch):
+    # two opposite atoms: their 2×2 Gram is singular, so nnls adds its ridge
+    calls = count_nnls(monkeypatch)
+    gram = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    atk = np.array([[1.0, 2.0], [1.0, -3.0]])
+    none = np.zeros(2, dtype=bool)
+    w = _pursuit(atk, gram, 2, none)
+    assert len(calls) == 1
+    expected = column_pursuit(atk, gram, 2, none)
+    assert np.array_equal(w, expected)
+    assert np.count_nonzero(w[:, 0]) == 2 and np.array_equal(w[:, 1], [2.0, 0.0])
+
+
+def test_pursuit_clean_path_skips_nnls(monkeypatch):
+    calls = count_nnls(monkeypatch)
+    tg, _ = PRESETS["sep5"]()
+    k = kernel_from_distances(pairwise_distances(tg, "mcp"))
+    d = preset_dictionaries(k, 5)["spectral"]
+    atk, atka = solvers._atk_atka(k, d.a)
+    _pursuit(atk, atka, 3, d.empty)
+    assert calls == []
+
+
+def test_pursuit_degenerate_atom_raises_for_any_column_count():
+    gram = np.diag([1.0, 0.0, 2.0])
+    atk = np.ones((3, 5))
+    with pytest.raises(DegenerateAtom, match="atom 1"):
+        _pursuit(atk, gram, 2, np.zeros(3, bool))
+    excluded = np.array([False, True, False])
+    w = _pursuit(atk, gram, 2, excluded)
+    assert np.array_equal(w, column_pursuit(atk, gram, 2, excluded))
 
 
 # --- multiplicative dictionary refinement ----------------------------------
