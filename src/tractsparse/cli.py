@@ -361,7 +361,8 @@ def cmd_atlas_build(args) -> int:
         },
         [Path(p) for p in args.infile], outputs, timer,
         extra={
-            "n_training": len(atlas.training),
+            # the stored count, as kernel.json records it, not the pooled sample
+            "n_training": json.loads((out / "kernel.json").read_text())["n_training"],
             "gamma": atlas.gamma,
             "shift": atlas.shift,
             "converged": fit.converged,

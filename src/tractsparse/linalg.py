@@ -149,31 +149,45 @@ def nnls(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             passive[drop] = False
 
 
-def ridge_solve(a: np.ndarray, b: np.ndarray, ridge: float = 1e-8) -> np.ndarray:
-    """Solve (A + ridge·I)·X = B for symmetric A.
+def ridge_solver(a: np.ndarray, ridge: float = 1e-8):
+    """Factor A + ridge·I once; return a callable B ↦ (A + ridge·I)⁻¹·B.
 
-    Cholesky first; if the shifted matrix is not positive definite, fall
-    back to a symmetric-indefinite (LDLᵀ) solve.
+    A is symmetric. The Cholesky factor is computed here, once, and reused by
+    every call, so an ADMM W-step factors its fixed matrix once for all its
+    inner steps. If the shifted matrix is not positive definite, or a
+    Cholesky solve is not finite, that call falls back to a
+    symmetric-indefinite (LDLᵀ) solve, and raises SingularAfterRidge when
+    that fails too.
     """
     a = _require_symmetric(a, "matrix")
-    b = np.asarray(b, dtype=np.float64)
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
     shifted = a + ridge * np.eye(a.shape[0])
     try:
         c = scipy.linalg.cho_factor(shifted, check_finite=False)
-        x = scipy.linalg.cho_solve(c, b, check_finite=False)
-        if np.isfinite(x).all():
-            return x
     except scipy.linalg.LinAlgError:
-        pass
-    try:
-        x = scipy.linalg.solve(shifted, b, assume_a="sym", check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularAfterRidge(f"solve failed after ridge {ridge}: {exc}") from exc
-    if not np.isfinite(x).all():
-        raise SingularAfterRidge(f"solve produced non-finite values at ridge {ridge}")
-    return x
+        c = None
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=np.float64)
+        if c is not None:
+            x = scipy.linalg.cho_solve(c, b, check_finite=False)
+            if np.isfinite(x).all():
+                return x
+        try:
+            x = scipy.linalg.solve(shifted, b, assume_a="sym", check_finite=False)
+        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            raise SingularAfterRidge(f"solve failed after ridge {ridge}: {exc}") from exc
+        if not np.isfinite(x).all():
+            raise SingularAfterRidge(f"solve produced non-finite values at ridge {ridge}")
+        return x
+
+    return solve
+
+
+def ridge_solve(a: np.ndarray, b: np.ndarray, ridge: float = 1e-8) -> np.ndarray:
+    """Solve (A + ridge·I)·X = B for symmetric A; see `ridge_solver`."""
+    return ridge_solver(a, ridge)(b)
 
 
 def sylvester_solve(

@@ -32,7 +32,14 @@ from .errors import (
     ZeroDegreeRow,
 )
 from .kernel import KernelMatrix
-from .linalg import nnls, ridge_solve, schur_form, sylvester_solve, sym_eig
+from .linalg import (
+    nnls,
+    ridge_solve,
+    ridge_solver,
+    schur_form,
+    sylvester_solve,
+    sym_eig,
+)
 from .model import Labeling, SolverConfig, _frozen_array
 
 _KKM_SWEEPS = 100
@@ -141,16 +148,61 @@ def _empty_flags(a, m: int) -> np.ndarray:
     return np.zeros(m, dtype=bool)
 
 
+class _KernelRows:
+    """The rows K[S, :] of a kernel, for the non-zero rows S of a dictionary A.
+
+    Zero rows of A stay zero under every update here, so products with A
+    need only K[S, :]: dense rows, or the factor rows G[S] of a factored
+    kernel, which stays factored. ``sel`` indexes S. When S holds more than
+    half the rows the restriction would save less than half the work and
+    copy most of K, so ``sel`` takes every row and K is used as it is, with
+    no n×n temporary.
+    """
+
+    def __init__(self, k: KernelMatrix, a: np.ndarray):
+        rows = np.flatnonzero(np.any(a != 0.0, axis=1))
+        self.sel = slice(None) if 2 * rows.size > a.shape[0] else rows
+        if k.is_factored:
+            self.g = k.factor
+            self.gs = k.factor[self.sel]
+        else:
+            self.g = None
+            self.ks = k.dense_values[self.sel]
+            self.kss = self.ks[:, self.sel]
+
+    def atk_atka(self, a_s: np.ndarray):
+        """AᵀK (m×n) and AᵀKA (m×m, symmetrized) from the rows A[S]."""
+        if self.g is not None:
+            ag = a_s.T @ self.gs
+            atk = ag @ self.g.T
+            atka = ag @ ag.T
+        else:
+            atk = a_s.T @ self.ks
+            atka = atk[:, self.sel] @ a_s
+        return atk, (atka + atka.T) / 2.0
+
+    def rows_matmul(self, x: np.ndarray) -> np.ndarray:
+        """K[S, :] @ x for x with n rows."""
+        if self.g is not None:
+            return self.gs @ (self.g.T @ x)
+        return self.ks @ x
+
+    def block_matmul(self, x: np.ndarray) -> np.ndarray:
+        """K[S, S] @ x for x with |S| rows."""
+        if self.g is not None:
+            return self.gs @ (self.gs.T @ x)
+        return self.kss @ x
+
+
 def _atk_atka(k: KernelMatrix, a: np.ndarray):
-    """AᵀK (m×n) and AᵀKA (m×m, symmetrized) for either kernel form."""
-    if k.is_factored:
-        ag = a.T @ k.factor
-        atk = ag @ k.factor.T
-        atka = ag @ ag.T
-    else:
-        atk = a.T @ k.dense()
-        atka = atk @ a
-    return atk, (atka + atka.T) / 2.0
+    """AᵀK (m×n) and AᵀKA (m×m, symmetrized) for either kernel form.
+
+    Only A's non-zero rows S enter: AᵀK = A[S]ᵀ·K[S, :] and
+    AᵀKA = AᵀK[:, S]·A[S], so the cost is O(|S|·n·m) rather than O(n²·m),
+    with no n×n temporary (see `_KernelRows`).
+    """
+    kr = _KernelRows(k, a)
+    return kr.atk_atka(a[kr.sel])
 
 
 def _cost(k_trace: float, atk: np.ndarray, atka: np.ndarray, w: np.ndarray) -> float:
@@ -345,13 +397,14 @@ def kkm_fit(k: KernelMatrix, cfg: SolverConfig, init: Labeling) -> FitResult:
     labels = np.asarray(init.labels).copy()
     w = _one_hot(labels, m)
     a = kkm_dictionary(w, cfg.ridge)
-    trace = [reconstruction_cost(k, a.a, w)]
+    atk, atka = _atk_atka(k, a.a)
     kdiag = k.diagonal()
+    k_trace = float(kdiag.sum())
+    trace = [_cost(k_trace, atk, atka, w)]
     t_outer = cfg.t_outer if cfg.t_outer is not None else _KKM_SWEEPS
     converged = False
     iterations = 0
     for iterations in range(1, t_outer + 1):
-        atk, atka = _atk_atka(k, a.a)
         scores = np.diagonal(atka)[:, None] - 2.0 * atk
         new_labels = np.argmin(scores, axis=0)
         new_labels = _reseed_empty(new_labels, scores, kdiag, m)
@@ -361,7 +414,9 @@ def kkm_fit(k: KernelMatrix, cfg: SolverConfig, init: Labeling) -> FitResult:
         labels = new_labels
         w = _one_hot(labels, m)
         a = kkm_dictionary(w, cfg.ridge)
-        trace.append(reconstruction_cost(k, a.a, w))
+        # the next sweep assigns against this A, so AᵀK and AᵀKA serve both
+        atk, atka = _atk_atka(k, a.a)
+        trace.append(_cost(k_trace, atk, atka, w))
     return FitResult(
         dictionary=a,
         assignment=Assignment(w),
@@ -492,21 +547,28 @@ def mult_update_A(
 
     a_ij ← a_ij·[KWᵀ]_ij/[KAWWᵀ]_ij, iterated until the relative cost
     change drops below inner_tol. Zero entries are fixed points and stay
-    zero; the denominator carries a 1e-12 guard.
+    zero; the denominator carries a 1e-12 guard. So only A's non-zero rows
+    S are updated: K[S, :] is taken once per call, and each step costs
+    O(|S|·n·m) through K[S, :]·Wᵀ, K[S, S]·(A[S]·WWᵀ) and the cost's
+    restricted AᵀK, with no n×n temporary (see `_atk_atka`).
     """
     wmat = _as_w(w)
     amat = _as_a(a).copy()
-    kwt = k.matmul(wmat.T)
+    kr = _KernelRows(k, amat)
+    a_s = amat[kr.sel]
+    kwt = kr.rows_matmul(wmat.T)
     wwt = wmat @ wmat.T
-    cost = reconstruction_cost(k, amat, wmat)
+    k_trace = k.trace()
+    cost = _cost(k_trace, *kr.atk_atka(a_s), wmat)
     for _ in range(max_inner):
-        denom = k.matmul(amat @ wwt) + 1e-12
-        amat = amat * kwt / denom
-        new_cost = reconstruction_cost(k, amat, wmat)
+        denom = kr.block_matmul(a_s @ wwt) + 1e-12
+        a_s = a_s * kwt / denom
+        new_cost = _cost(k_trace, *kr.atk_atka(a_s), wmat)
         done = abs(cost - new_cost) <= inner_tol * max(abs(cost), 1e-30)
         cost = new_cost
         if done:
             break
+    amat[kr.sel] = a_s
     return Dictionary(amat, _empty_flags(a, amat.shape[1]))
 
 
@@ -559,12 +621,13 @@ def ksc_fit(k: KernelMatrix, cfg: SolverConfig, init: Labeling | Dictionary) -> 
     converged = False
     iterations = 0
     labeling, unassigned = hard_labels(w)
+    k_trace = k.trace()
+    atk, atka = _atk_atka(k, a.a)
     for iterations in range(1, t_outer + 1):
-        atk, atka = _atk_atka(k, a.a)
         w = _pursuit(atk, atka, cfg.s_max, a.empty)
-        a = mult_update_A(k, w, a)
-        a = prune_dictionary(a)
-        trace.append(reconstruction_cost(k, a.a, w))
+        a = prune_dictionary(mult_update_A(k, w, a))
+        atk, atka = _atk_atka(k, a.a)
+        trace.append(_cost(k_trace, atk, atka, w))
         labeling, unassigned = hard_labels(w, exclude=a.empty)
         lab_arr = np.asarray(labeling.labels)
         if prev_labels is not None and np.array_equal(lab_arr, prev_labels):
@@ -616,9 +679,10 @@ DEFAULT_LAMBDA_L = 0.01
 def _admm_w_step(solve, atk, mu, lam1_over_mu, cfg: SolverConfig, rms):
     """Inner ADMM for W under the L1 term, started from Z = U = 0.
 
-    ``solve`` maps a right-hand side to the W-update. Returns the feasible
-    iterate Z clipped at zero, the last RMS primal residual, and whether
-    that residual dropped below eps_primal within t_inner steps.
+    ``solve`` maps a right-hand side to the W-update; it is built once per
+    W-step, so any factorization it holds serves every inner step. Returns
+    the feasible iterate Z clipped at zero, the last RMS primal residual,
+    and whether that residual dropped below eps_primal within t_inner steps.
     """
     z = np.zeros_like(atk)
     u = np.zeros_like(atk)
@@ -709,7 +773,7 @@ def _group_fit(k: KernelMatrix, cfg: SolverConfig, init, lam2: float) -> FitResu
 
     def fit_w():
         idx = np.flatnonzero(live)
-        solve = partial(ridge_solve, atka[np.ix_(idx, idx)], ridge=mu)
+        solve = ridge_solver(atka[np.ix_(idx, idx)], mu)
         z = np.zeros((m, n))
         z[idx], primal, inner_ok = _admm_w_step(
             solve, atk[idx], mu, lam1_over_mu, cfg, rms
@@ -783,6 +847,8 @@ def gksc_fit(
     primal residual ‖W−Z‖_F/√(mn) drops below eps_primal, then updates the
     dictionary. The returned assignment is the final Z. A run that stops on
     the sweep budget is returned with converged=False rather than raising.
+    Without a Laplacian, each W-step factors its fixed m×m system once
+    (`ridge_solver`) and reuses the factor in every inner step.
 
     With a Laplacian, λ_L·tr(WLWᵀ) smooths memberships over the endpoint
     graph: the W-solve becomes a Sylvester equation, solved in the
@@ -837,18 +903,19 @@ def gksc_fit(
     converged = False
     iterations = 0
     rms = np.sqrt(m * n)
+    k_trace = k.trace()
+    atk, atka = _atk_atka(k, a.a)
     for iterations in range(1, t_outer + 1):
-        atk, atka = _atk_atka(k, a.a)
         if manifold:
             solve = partial(
                 sylvester_solve, atka + mu * np.eye(m), q, schur_q=schur_q
             )
         else:
-            solve = partial(ridge_solve, atka, ridge=mu)
+            solve = ridge_solver(atka, mu)
         z, primal, inner_ok = _admm_w_step(solve, atk, mu, lam1_over_mu, cfg, rms)
-        a = mult_update_A(k, z, a)
-        a = prune_dictionary(a)
-        cost = reconstruction_cost(k, a.a, z)
+        a = prune_dictionary(mult_update_A(k, z, a))
+        atk, atka = _atk_atka(k, a.a)
+        cost = _cost(k_trace, atk, atka, z)
         cost_trace.append(cost)
         primal_trace.append(primal)
         if (

@@ -294,6 +294,17 @@ def test_atlas_build_and_segment(workdir, tmp_path):
     assert manifest["result"]["m"] == 2
 
 
+def test_atlas_build_manifest_counts_stored_training(workdir, tmp_path):
+    atlas = tmp_path / "ref.atlas"
+    assert main(["atlas-build", "--in", str(workdir / "data" / "tract.slb"),
+                 "--m", "2", "--out", str(atlas)]) == 0
+    stored = json.loads((atlas / "kernel.json").read_text())["n_training"]
+    manifest = json.loads((atlas / "manifest.json").read_text())
+    assert manifest["result"]["n_training"] == stored
+    assert stored == len(read_slb(atlas / "training.slb"))
+    assert stored < 200  # only the atom streamlines of the 200 sampled
+
+
 def test_segment_measure_mismatch_is_data_error(workdir, tmp_path, capsys):
     atlas = tmp_path / "ref.atlas"
     assert main(["atlas-build", "--in", str(workdir / "data" / "tract.slb"),

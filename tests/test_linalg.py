@@ -7,6 +7,7 @@ from tractsparse.errors import SingularAfterRidge, SingularPencil
 from tractsparse.linalg import (
     nnls,
     ridge_solve,
+    ridge_solver,
     schur_form,
     sylvester_solve,
     sym_eig,
@@ -187,6 +188,30 @@ def test_ridge_solve_random_instances():
         x = ridge_solve(a, b, ridge=1e-8)
         res = np.linalg.norm((a + 1e-8 * np.eye(n)) @ x - b)
         assert res <= 1e-8 * max(1.0, np.linalg.norm(b))
+
+
+def test_ridge_solver_equals_ridge_solve_call_for_call():
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(6, 6))
+    spd = g @ g.T + np.eye(6)
+    indefinite = (g + g.T) / 2.0
+    assert np.linalg.eigvalsh(indefinite)[0] < -1e-3  # takes the LDLᵀ path
+    for a in (spd, indefinite):
+        solve = ridge_solver(a, ridge=1e-3)
+        for _ in range(3):
+            b = rng.normal(size=(6, 4))
+            assert np.array_equal(solve(b), ridge_solve(a, b, ridge=1e-3))
+
+
+def test_ridge_solver_raises_where_ridge_solve_does():
+    solve = ridge_solver(np.zeros((3, 3)), ridge=0.0)
+    for _ in range(2):
+        with pytest.raises(SingularAfterRidge):
+            solve(np.ones((3, 1)))
+    with pytest.raises(ValueError):
+        ridge_solver(np.eye(3), ridge=-1.0)
+    with pytest.raises(ValueError):
+        ridge_solver(np.triu(np.ones((3, 3))))
 
 
 # --- Schur form ------------------------------------------------------------

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oracles import column_pursuit, nnls_on_support, reference_lloyd
 from tractsparse.errors import (
@@ -8,8 +11,12 @@ from tractsparse.errors import (
     ZeroDegreeRow,
 )
 from tractsparse import solvers, synth
-from tractsparse.distances import pairwise_distances
-from tractsparse.kernel import KernelMatrix, kernel_from_distances
+from tractsparse.distances import (
+    build_endpoint_graph,
+    graph_laplacian,
+    pairwise_distances,
+)
+from tractsparse.kernel import KernelMatrix, kernel_from_distances, nystrom_kernel
 from tractsparse.metrics import adjusted_rand_index
 from tractsparse.model import Labeling, SolverConfig
 from tractsparse.solvers import (
@@ -288,6 +295,29 @@ def test_kkm_reseeds_empty_cluster():
     counts = np.bincount(np.asarray(res.labels.labels), minlength=3)
     assert counts.min() >= 1
     assert res.labels.labels[20] == 2  # outlier ends up owning the spare slot
+
+
+def test_kkm_forms_atk_once_per_sweep(monkeypatch):
+    rng = np.random.default_rng(5)
+    x, truth = axis_blobs(rng)
+    k = rbf_from_points(x)
+    calls = []
+    real = solvers._atk_atka
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "_atk_atka", counted)
+    init = Labeling(_flip_some(truth, 3, rng), m=3)
+    res = kkm_fit(k, SolverConfig(m=3), init)
+    monkeypatch.undo()
+    assert res.converged and res.iterations >= 2
+    # one for the first dictionary and one after each sweep that moved labels
+    assert len(calls) == res.iterations
+    assert res.cost_trace[-1] == reconstruction_cost(
+        k, res.dictionary, res.assignment
+    )
 
 
 def test_kkm_rejects_mismatched_init():
@@ -570,6 +600,137 @@ def test_mult_update_keeps_empty_flags():
     a = Dictionary(np.ones((4, 2)), empty=np.array([False, True]))
     out = mult_update_A(k, np.ones((2, 4)), a, max_inner=2)
     assert out.empty.tolist() == [False, True]
+
+
+# --- support-restricted algebra --------------------------------------------
+
+def dense_atk_atka(k, a):
+    """AᵀK and AᵀKA over all n rows of the kernel, zero rows of A included."""
+    if k.is_factored:
+        ag = a.T @ k.factor
+        atk, atka = ag @ k.factor.T, ag @ ag.T
+    else:
+        atk = a.T @ k.dense()
+        atka = atk @ a
+    return atk, (atka + atka.T) / 2.0
+
+
+def dense_mult_update(k, w, a, steps):
+    """`steps` multiplicative updates with full n×n products."""
+    kd = k.dense()
+    kwt = kd @ w.T
+    wwt = w @ w.T
+    for _ in range(steps):
+        a = a * kwt / (kd @ (a @ wwt) + 1e-12)
+    return a
+
+
+@pytest.fixture(scope="module")
+def sep5_kernels():
+    """The sep5 tractogram, its dense and Nyström kernels, spectral labels."""
+    tg, _ = PRESETS["sep5"]()
+    dense = kernel_from_distances(pairwise_distances(tg, "mcp"))
+    kernels = {"dense": dense, "nystrom": nystrom_kernel(tg, "mcp", p=40, seed=2)}
+    return tg, kernels, spectral_init(dense, m=5, seed=1)
+
+
+@pytest.mark.parametrize("form", ["dense", "nystrom"])
+def test_restricted_atk_atka_exact_for_one_nonzero_per_column(sep5_kernels, form):
+    _, kernels, labels = sep5_kernels
+    k = kernels[form]
+    spectral = init_dictionary_from_labels(labels, k)
+    atk, atka = solvers._atk_atka(k, spectral.a)
+    refined = mult_update_A(k, _pursuit(atk, atka, 3, spectral.empty), spectral)
+    for d in (spectral, random_selection_init(k, 7, seed=3), refined):
+        assert np.all(np.count_nonzero(d.a, axis=0) <= 1)
+        got = solvers._atk_atka(k, d.a)
+        want = dense_atk_atka(k, d.a)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("form", ["dense", "nystrom"])
+def test_restricted_algebra_matches_dense_for_random_dictionaries(sep5_kernels, form):
+    k = sep5_kernels[1][form]
+    rng = np.random.default_rng(8)
+    a = np.zeros((k.n, 4))
+    for j in range(4):
+        a[rng.choice(k.n, size=6, replace=False), j] = rng.random(6) + 0.1
+    zero_rows = ~np.any(a != 0.0, axis=1)
+    w = np.abs(rng.normal(size=(4, k.n)))
+    for got, want in zip(solvers._atk_atka(k, a), dense_atk_atka(k, a)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    out = mult_update_A(k, w, Dictionary(a), inner_tol=0.0, max_inner=5)
+    np.testing.assert_allclose(
+        out.a, dense_mult_update(k, w, a, 5), rtol=1e-12, atol=0.0
+    )
+    assert np.all(out.a[zero_rows] == 0.0)
+
+
+def test_factored_fits_never_densify_the_kernel(sep5_kernels, monkeypatch):
+    tg, kernels, _ = sep5_kernels
+    k = kernels["nystrom"]
+    lap = graph_laplacian(build_endpoint_graph(tg))
+    init = random_selection_init(k, m=5, seed=4)
+
+    def refuse(self):
+        raise AssertionError("the n×n kernel was materialized")
+
+    monkeypatch.setattr(KernelMatrix, "dense", refuse)
+    res = ksc_fit(k, SolverConfig(m=5, t_outer=3), init)
+    assert res.iterations >= 1
+    cfg = SolverConfig(m=5, lambda2=0.0, lambda_l=0.01, t_outer=3, t_inner=3)
+    res = gksc_fit(k, cfg, init, laplacian=lap)
+    assert res.iterations >= 1
+
+
+def test_full_support_algebra_allocates_no_kernel_sized_array():
+    rng = np.random.default_rng(9)
+    x, truth = axis_blobs(rng, m=3, per=200)
+    k = rbf_from_points(x)
+    w = solvers._one_hot(truth, 3)
+    a = kkm_dictionary(w).a
+    assert np.all(np.any(a != 0.0, axis=1))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        solvers._atk_atka(k, a)
+        mult_update_A(k, w, a, inner_tol=0.0, max_inner=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < k.n * k.n * 8
+
+
+def test_group_fit_factors_once_per_w_step(monkeypatch):
+    rng = np.random.default_rng(10)
+    x, truth = axis_blobs(rng, m=3, per=10)
+    k = rbf_from_points(x)
+    counts = {"w_steps": 0, "factor": 0, "solve": 0}
+    real_step, real_factor, real_solve = (
+        solvers._admm_w_step, scipy.linalg.cho_factor, scipy.linalg.cho_solve
+    )
+
+    def step(*args, **kwargs):
+        counts["w_steps"] += 1
+        return real_step(*args, **kwargs)
+
+    def factor(*args, **kwargs):
+        counts["factor"] += 1
+        return real_factor(*args, **kwargs)
+
+    def solve(*args, **kwargs):
+        counts["solve"] += 1
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_admm_w_step", step)
+    monkeypatch.setattr(scipy.linalg, "cho_factor", factor)
+    monkeypatch.setattr(scipy.linalg, "cho_solve", solve)
+    cfg = SolverConfig(m=4, t_outer=3, t_inner=7, eps_primal=1e-300)
+    res = gksc_fit(k, cfg, Labeling(np.r_[truth[:-1], 3], m=4))
+    assert res.iterations >= 1
+    assert counts["w_steps"] >= res.iterations
+    assert counts["factor"] == counts["w_steps"]
+    assert counts["solve"] == 7 * counts["w_steps"]
 
 
 # --- pruning and hard labels -----------------------------------------------
