@@ -13,6 +13,8 @@ Exit codes: 0 success, 2 usage, 3 bad input data, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import sys
 import time
@@ -33,6 +35,7 @@ from .distances import (
 from .errors import DataError, NumericalError
 from .io import (
     _atomic_write_text,
+    _write_assignment,
     read_dm,
     read_labels,
     read_sl,
@@ -44,7 +47,6 @@ from .io import (
     write_km,
     write_labels,
     write_slb,
-    write_sparse_csv,
     SLB_MAGIC,
 )
 from .kernel import kernel_from_distances, nystrom_kernel
@@ -74,22 +76,24 @@ def _read_tract(path):
     return read_slb(p) if head == SLB_MAGIC else read_sl(p)
 
 
+@contextlib.contextmanager
+def _flag_values():
+    """Report the library's ValueError for a flag value as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 class _Timer:
     def __init__(self):
         self.stages = {}
 
+    @contextlib.contextmanager
     def stage(self, name):
-        timer = self
-
-        class _Span:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timer.stages[name] = round(time.perf_counter() - self.t0, 6)
-                return False
-
-        return _Span()
+        t0 = time.perf_counter()
+        yield
+        self.stages[name] = round(time.perf_counter() - t0, 6)
 
 
 def _write_manifest(where, command, config, inputs, outputs, timer, extra=None):
@@ -221,18 +225,18 @@ def cmd_cluster(args) -> int:
     manifold = args.method == "gksc-manifold"
     if args.lambdaL is not None and not manifold:
         raise UsageError("--lambdaL applies to gksc-manifold only")
+    lambda_l = (args.lambdaL if args.lambdaL is not None else DEFAULT_LAMBDA_L) \
+        if manifold else 0.0
+    with _flag_values():
+        cfg = SolverConfig(
+            m=args.m, s_max=args.smax, lambda1=args.lambda1,
+            lambda2=0.0 if manifold else args.lambda2,
+            lambda_l=lambda_l, mu=args.mu, seed=args.seed,
+        )
 
     with timer.stage("read"):
         tract = _read_tract(args.infile)
     k = _build_kernel(args, tract, timer)
-
-    lambda_l = (args.lambdaL if args.lambdaL is not None else DEFAULT_LAMBDA_L) \
-        if manifold else 0.0
-    cfg = SolverConfig(
-        m=args.m, s_max=args.smax, lambda1=args.lambda1,
-        lambda2=0.0 if manifold else args.lambda2,
-        lambda_l=lambda_l, mu=args.mu, seed=args.seed,
-    )
 
     with timer.stage("init"):
         if args.init == "random":
@@ -259,7 +263,8 @@ def cmd_cluster(args) -> int:
         elif args.method == "gksc":
             result = gksc_fit(k, cfg, init)
         else:
-            graph = build_endpoint_graph(tract, args.ep_threshold)
+            with _flag_values():
+                graph = build_endpoint_graph(tract, args.ep_threshold)
             result = gksc_fit(k, cfg, init, laplacian=graph_laplacian(graph))
 
     out = Path(args.out)
@@ -338,11 +343,13 @@ def cmd_metrics(args) -> int:
 
 def cmd_atlas_build(args) -> int:
     timer = _Timer()
+    with _flag_values():
+        cfg = SolverConfig(
+            m=args.m, s_max=args.smax, lambda1=args.lambda1, mu=args.mu,
+            seed=args.seed,
+        )
     with timer.stage("read"):
         subjects = [_read_tract(p) for p in args.infile]
-    cfg = SolverConfig(
-        m=args.m, s_max=args.smax, lambda1=args.lambda1, mu=args.mu, seed=args.seed,
-    )
     with timer.stage("fit"):
         atlas, fit = build_atlas(
             subjects, cfg, measure=args.measure,
@@ -376,21 +383,17 @@ def cmd_segment(args) -> int:
     with timer.stage("read"):
         atlas = load_atlas(args.atlas)
         tract = _read_tract(args.infile)
+    if args.smax is not None:
+        with _flag_values():
+            atlas = dataclasses.replace(atlas, s_max=args.smax)
     with timer.stage("segment"):
         seg = segment_with_atlas(
-            atlas, tract, s_max=args.smax, measure=args.measure,
-            threads=args.threads,
+            atlas, tract, measure=args.measure, threads=args.threads,
         )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with timer.stage("write"):
-        write_labels(seg.labels, out / "labels.txt")
-        write_sparse_csv(seg.assignment.w, out / "w.csv")
-        unassigned = np.nonzero(np.asarray(seg.unassigned))[0]
-        if unassigned.size:
-            _atomic_write_text(
-                out / "unassigned.txt", "\n".join(str(i) for i in unassigned) + "\n"
-            )
+        _write_assignment(seg.assignment.w, seg.labels, seg.unassigned, out)
     outputs = sorted(p for p in out.iterdir() if p.name != "manifest.json")
     atlas_dir = Path(args.atlas)
     atlas_files = sorted(p for p in atlas_dir.iterdir() if p.is_file())

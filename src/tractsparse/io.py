@@ -353,6 +353,22 @@ def read_sparse_csv(path, shape) -> np.ndarray:
 
 # --- fit result directory --------------------------------------------------
 
+def _write_assignment(w, labels: Labeling, unassigned, out: Path):
+    """W as ``w.csv``, the hard labels as ``labels.txt``, and ``unassigned.txt``.
+
+    ``unassigned.txt`` lists by index the streamlines with no active
+    coefficient. When every streamline is assigned it is removed, so a
+    re-run into the same directory leaves no stale list behind.
+    """
+    write_sparse_csv(w, out / "w.csv")
+    write_labels(labels, out / "labels.txt")
+    idx = np.flatnonzero(unassigned)
+    if idx.size:
+        _atomic_write_text(out / "unassigned.txt", "\n".join(map(str, idx)) + "\n")
+    else:
+        (out / "unassigned.txt").unlink(missing_ok=True)
+
+
 def write_fit_dir(result, cfg: SolverConfig, out_dir, method: str):
     """Persist a solver run: W and A matrices, labels, traces, and config.
 
@@ -362,14 +378,8 @@ def write_fit_dir(result, cfg: SolverConfig, out_dir, method: str):
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_sparse_csv(result.assignment.w, out / "w.csv")
+    _write_assignment(result.assignment.w, result.labels, result.unassigned, out)
     write_dense_csv(result.dictionary.a, out / "a.csv")
-    write_labels(result.labels, out / "labels.txt")
-    unassigned = np.nonzero(np.asarray(result.unassigned))[0]
-    if unassigned.size:
-        _atomic_write_text(
-            out / "unassigned.txt", "\n".join(str(i) for i in unassigned) + "\n"
-        )
     cost = list(result.cost_trace)
     primal = list(result.primal_residual_trace)
     lines = ["iter,cost,primal_residual"]

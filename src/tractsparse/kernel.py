@@ -2,8 +2,9 @@
 
 The solvers never see raw distances: they operate on a positive
 semi-definite RBF kernel, either dense or factored as K ≈ G·Gᵀ. Both forms
-answer the same small query interface (multiply, column, diagonal), so a
-solver does not need to know which it was handed.
+give their diagonal, trace and dense matrix; the solvers check
+``is_factored`` and work on the factor directly where that saves forming
+the n×n matrix.
 """
 
 from __future__ import annotations
@@ -64,21 +65,6 @@ class KernelMatrix:
     @property
     def is_factored(self) -> bool:
         return self.factor is not None
-
-    @property
-    def rank(self) -> int:
-        return self.factor.shape[1] if self.is_factored else self.n
-
-    def matmul(self, x: np.ndarray) -> np.ndarray:
-        """K @ x without materializing the dense kernel."""
-        if self.is_factored:
-            return self.factor @ (self.factor.T @ x)
-        return self.dense_values @ x
-
-    def column(self, i: int) -> np.ndarray:
-        if self.is_factored:
-            return self.factor @ self.factor[i]
-        return self.dense_values[:, i].copy()
 
     def diagonal(self) -> np.ndarray:
         if self.is_factored:
@@ -203,13 +189,7 @@ def nystrom_kernel(
     d_aa = pairwise_distances(t_land, measure, threads=threads)
     if gamma is None:
         gamma = 1.0 if p < 2 else select_gamma(d_aa)
-    k_aa = np.exp(-gamma * np.square(d_aa.values))
-
-    shift = 0.0
-    lam_min = float(sym_eig(k_aa, count=1)[0][0])
-    if lam_min < 0.0:
-        shift = -lam_min
-        k_aa = k_aa + shift * np.eye(p)
+    k_aa = spectrum_shift(rbf_kernel(d_aa, gamma))
 
     if rest.size:
         t_rest = Tractogram(tuple(t[i] for i in rest))
@@ -218,7 +198,7 @@ def nystrom_kernel(
     else:
         k_ab = np.zeros((p, 0))
 
-    g_blocks, floored = _nystrom_factor(k_aa, k_ab)
+    g_blocks, floored = _nystrom_factor(k_aa.dense_values, k_ab)
     if floored > p / 2:
         warnings.warn(
             f"{floored} of {p} landmark eigenvalues were floored; the "
@@ -230,5 +210,5 @@ def nystrom_kernel(
     g[landmarks] = g_blocks[:p]
     g[rest] = g_blocks[p:]
     return KernelMatrix(
-        n=n, gamma=float(gamma), shift=shift, factor=g, landmarks=landmarks
+        n=n, gamma=float(gamma), shift=k_aa.shift, factor=g, landmarks=landmarks
     )

@@ -7,11 +7,9 @@ distance matrix the clustering consumed.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,6 +43,17 @@ def _check_lengths(a: np.ndarray, b: np.ndarray) -> None:
         raise LengthMismatch(f"labelings have lengths {a.size} and {b.size}")
 
 
+def _pair_table(a, b):
+    """Item-pair count and contingency table of two labelings.
+
+    The table is None when there are fewer than two items, so no pairs.
+    """
+    a, b = _as_labels(a), _as_labels(b)
+    _check_lengths(a, b)
+    total = a.size * (a.size - 1) // 2
+    return total, _contingency(a, b) if total else None
+
+
 def _identical_partitions(table: np.ndarray) -> bool:
     return bool(
         ((table > 0).sum(axis=0) <= 1).all() and ((table > 0).sum(axis=1) <= 1).all()
@@ -53,13 +62,9 @@ def _identical_partitions(table: np.ndarray) -> bool:
 
 def rand_index(a, b) -> float:
     """Fraction of item pairs on which two labelings agree."""
-    a, b = _as_labels(a), _as_labels(b)
-    _check_lengths(a, b)
-    n = a.size
-    total = n * (n - 1) // 2
+    total, table = _pair_table(a, b)
     if total == 0:
         return 1.0
-    table = _contingency(a, b)
     s_ab = _pairs(table.ravel())
     s_a = _pairs(table.sum(axis=1))
     s_b = _pairs(table.sum(axis=0))
@@ -73,13 +78,9 @@ def adjusted_rand_index(a, b) -> float:
     When the correction denominator vanishes (both labelings all-singleton
     or both one-cluster) the value is 1 for identical partitions, else 0.
     """
-    a, b = _as_labels(a), _as_labels(b)
-    _check_lengths(a, b)
-    n = a.size
-    total = n * (n - 1) // 2
+    total, table = _pair_table(a, b)
     if total == 0:
         return 1.0
-    table = _contingency(a, b)
     s_ab = _pairs(table.ravel())
     s_a = _pairs(table.sum(axis=1))
     s_b = _pairs(table.sum(axis=0))
@@ -98,13 +99,9 @@ def normalized_ari(truth, predicted) -> float:
     average is chance-corrected against the predicted cluster sizes. A
     singleton ground-truth cluster has no pairs and counts as fully agreed.
     """
-    a, b = _as_labels(truth), _as_labels(predicted)
-    _check_lengths(a, b)
-    n = a.size
-    total = n * (n - 1) // 2
+    total, table = _pair_table(truth, predicted)
     if total == 0:
         return 1.0
-    table = _contingency(a, b)
     sizes_a = table.sum(axis=1)
     rates = np.empty(sizes_a.size)
     for k, row in enumerate(table):
@@ -131,7 +128,7 @@ def silhouette(d: DistanceMatrix, labels):
     if lab.size != d.n:
         raise LengthMismatch(f"{lab.size} labels for {d.n} streamlines")
     values = d.values
-    uniq = np.unique(lab)
+    uniq, idx, counts = np.unique(lab, return_inverse=True, return_counts=True)
     scores = np.zeros(lab.size)
     if uniq.size < 2:
         warnings.warn(
@@ -141,18 +138,18 @@ def silhouette(d: DistanceMatrix, labels):
         )
         return 0.0, scores
 
-    members = {c: np.flatnonzero(lab == c) for c in uniq}
     mean_to = np.empty((lab.size, uniq.size))
     for col, c in enumerate(uniq):
-        mean_to[:, col] = values[:, members[c]].mean(axis=1)
-    for i in range(lab.size):
-        own_col = int(np.searchsorted(uniq, lab[i]))
-        own = members[lab[i]]
-        if own.size == 1:
-            continue
-        a_i = (mean_to[i, own_col] * own.size) / (own.size - 1)
-        b_i = np.delete(mean_to[i], own_col).min()
-        scores[i] = (b_i - a_i) / max(a_i, b_i)
+        mean_to[:, col] = values[:, lab == c].mean(axis=1)
+    items = np.arange(lab.size)
+    own = mean_to[items, idx]
+    mean_to[items, idx] = np.inf
+    # singletons keep their score of 0
+    multi = counts[idx] > 1
+    size = counts[idx][multi]
+    a = own[multi] * size / (size - 1)
+    b = mean_to.min(axis=1)[multi]
+    scores[multi] = (b - a) / np.maximum(a, b)
     return float(scores.mean()), scores
 
 
@@ -172,43 +169,20 @@ class MetricReport:
     cluster_silhouette: tuple | None
     single_cluster: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "ri": self.ri,
-            "ari": self.ari,
-            "nari": self.nari,
-            "silhouette": self.silhouette,
-            "cluster_sizes": list(self.cluster_sizes),
-            "cluster_silhouette": None
-            if self.cluster_silhouette is None
-            else list(self.cluster_silhouette),
-            "single_cluster": self.single_cluster,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @staticmethod
     def csv_header() -> str:
         return "ri,ari,nari,silhouette,n_clusters,min_size,max_size"
 
     def to_csv_row(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="")
         sil = "" if self.silhouette is None else repr(self.silhouette)
-        sizes = self.cluster_sizes
-        writer.writerow(
-            [
-                repr(self.ri),
-                repr(self.ari),
-                repr(self.nari),
-                sil,
-                len(sizes),
-                min(sizes) if sizes else 0,
-                max(sizes) if sizes else 0,
-            ]
-        )
-        return buf.getvalue()
+        sizes = self.cluster_sizes or (0,)
+        return ",".join([
+            repr(self.ri), repr(self.ari), repr(self.nari), sil,
+            str(len(self.cluster_sizes)), str(min(sizes)), str(max(sizes)),
+        ])
 
 
 def compute_metrics(truth, predicted, d: DistanceMatrix | None = None) -> MetricReport:

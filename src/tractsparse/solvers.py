@@ -134,6 +134,26 @@ class FitResult:
         )
 
 
+def _fit_result(dictionary, w, cost_trace, primal_trace, iterations, converged):
+    """Package a finished fit; labels and the unassigned mask come from W."""
+    labels, unassigned = hard_labels(w, exclude=dictionary.empty)
+    return FitResult(
+        dictionary=dictionary,
+        assignment=Assignment(w),
+        labels=labels,
+        unassigned=unassigned,
+        cost_trace=tuple(cost_trace),
+        primal_residual_trace=tuple(primal_trace),
+        iterations=iterations,
+        converged=converged,
+    )
+
+
+def _settled(prev, cost, tol=_OUTER_COST_TOL) -> bool:
+    """Whether cost moved by at most tol relative to prev (never without prev)."""
+    return prev is not None and abs(prev - cost) <= tol * max(abs(prev), 1e-30)
+
+
 def _as_a(a) -> np.ndarray:
     return a.a if isinstance(a, Dictionary) else np.asarray(a, dtype=np.float64)
 
@@ -272,9 +292,7 @@ def _lloyd(x: np.ndarray, m: int, rng, max_iter: int = 100, tol: float = 1e-9):
                 centers[j] = x[mask].mean(axis=0)
             else:
                 centers[j] = x[int(np.argmax(assigned_d2))]
-        if prev_inertia is not None and abs(prev_inertia - inertia) <= tol * max(
-            prev_inertia, 1e-30
-        ):
+        if _settled(prev_inertia, inertia, tol):
             break
         prev_inertia = inertia
     return labels
@@ -417,16 +435,7 @@ def kkm_fit(k: KernelMatrix, cfg: SolverConfig, init: Labeling) -> FitResult:
         # the next sweep assigns against this A, so AᵀK and AᵀKA serve both
         atk, atka = _atk_atka(k, a.a)
         trace.append(_cost(k_trace, atk, atka, w))
-    return FitResult(
-        dictionary=a,
-        assignment=Assignment(w),
-        labels=Labeling(labels, m=m),
-        unassigned=np.zeros(n, dtype=bool),
-        cost_trace=tuple(trace),
-        primal_residual_trace=(),
-        iterations=iterations,
-        converged=converged,
-    )
+    return _fit_result(a, w, trace, (), iterations, converged)
 
 
 # --- sparse coding ---------------------------------------------------------
@@ -564,7 +573,7 @@ def mult_update_A(
         denom = kr.block_matmul(a_s @ wwt) + 1e-12
         a_s = a_s * kwt / denom
         new_cost = _cost(k_trace, *kr.atk_atka(a_s), wmat)
-        done = abs(cost - new_cost) <= inner_tol * max(abs(cost), 1e-30)
+        done = _settled(cost, new_cost, inner_tol)
         cost = new_cost
         if done:
             break
@@ -620,7 +629,6 @@ def ksc_fit(k: KernelMatrix, cfg: SolverConfig, init: Labeling | Dictionary) -> 
     prev_labels = None
     converged = False
     iterations = 0
-    labeling, unassigned = hard_labels(w)
     k_trace = k.trace()
     atk, atka = _atk_atka(k, a.a)
     for iterations in range(1, t_outer + 1):
@@ -628,22 +636,12 @@ def ksc_fit(k: KernelMatrix, cfg: SolverConfig, init: Labeling | Dictionary) -> 
         a = prune_dictionary(mult_update_A(k, w, a))
         atk, atka = _atk_atka(k, a.a)
         trace.append(_cost(k_trace, atk, atka, w))
-        labeling, unassigned = hard_labels(w, exclude=a.empty)
-        lab_arr = np.asarray(labeling.labels)
-        if prev_labels is not None and np.array_equal(lab_arr, prev_labels):
+        labels = hard_labels(w, exclude=a.empty)[0].labels
+        if prev_labels is not None and np.array_equal(labels, prev_labels):
             converged = True
             break
-        prev_labels = lab_arr
-    return FitResult(
-        dictionary=a,
-        assignment=Assignment(w),
-        labels=labeling,
-        unassigned=unassigned,
-        cost_trace=tuple(trace),
-        primal_residual_trace=(),
-        iterations=iterations,
-        converged=converged,
-    )
+        prev_labels = labels
+    return _fit_result(a, w, trace, (), iterations, converged)
 
 
 # --- ADMM variants ---------------------------------------------------------
@@ -813,25 +811,12 @@ def _group_fit(k: KernelMatrix, cfg: SolverConfig, init, lam2: float) -> FitResu
         if not live.any():
             converged = inner_ok
             break
-        stable = (
-            prev_cost is not None
-            and inner_ok
-            and abs(prev_cost - cost) <= _OUTER_COST_TOL * max(abs(prev_cost), 1e-30)
-        )
-        if not retired and (moved == 0 or stable):
+        if not retired and (moved == 0 or (inner_ok and _settled(prev_cost, cost))):
             converged = inner_ok
             break
         prev_cost = cost
-    labeling, unassigned = hard_labels(z, exclude=~live)
-    return FitResult(
-        dictionary=Dictionary(a, ~live),
-        assignment=Assignment(z),
-        labels=labeling,
-        unassigned=unassigned,
-        cost_trace=tuple(cost_trace),
-        primal_residual_trace=tuple(primal_trace),
-        iterations=iterations,
-        converged=converged,
+    return _fit_result(
+        Dictionary(a, ~live), z, cost_trace, primal_trace, iterations, converged
     )
 
 
@@ -918,25 +903,11 @@ def gksc_fit(
         cost = _cost(k_trace, atk, atka, z)
         cost_trace.append(cost)
         primal_trace.append(primal)
-        if (
-            prev_cost is not None
-            and inner_ok
-            and abs(prev_cost - cost) <= _OUTER_COST_TOL * max(abs(prev_cost), 1e-30)
-        ):
+        if inner_ok and _settled(prev_cost, cost):
             converged = True
             break
         prev_cost = cost
-    labeling, unassigned = hard_labels(z, exclude=a.empty)
-    return FitResult(
-        dictionary=a,
-        assignment=Assignment(z),
-        labels=labeling,
-        unassigned=unassigned,
-        cost_trace=tuple(cost_trace),
-        primal_residual_trace=tuple(primal_trace),
-        iterations=iterations,
-        converged=converged,
-    )
+    return _fit_result(a, z, cost_trace, primal_trace, iterations, converged)
 
 
 def segment_with_dictionary(

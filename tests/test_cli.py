@@ -120,6 +120,15 @@ def test_missing_input_is_data_error(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.fixture(scope="module")
+def atlas_dir(workdir):
+    """An m=2 atlas of the shared dataset, shared read-only."""
+    atlas = workdir / "ref.atlas"
+    assert main(["atlas-build", "--in", str(workdir / "data" / "tract.slb"),
+                 "--m", "2", "--out", str(atlas)]) == 0
+    return atlas
+
+
 # --- cluster ----------------------------------------------------------------
 
 def test_cluster_ksc_recovers_bundles(workdir, tmp_path):
@@ -314,6 +323,45 @@ def test_segment_measure_mismatch_is_data_error(workdir, tmp_path, capsys):
                "--measure", "haus", "--out", str(tmp_path / "x")])
     capsys.readouterr()
     assert rc == 3
+
+
+@pytest.mark.parametrize("command", ["cluster", "segment"])
+def test_rerun_removes_stale_unassigned(workdir, atlas_dir, tmp_path, command):
+    out = tmp_path / "fit"
+    out.mkdir()
+    (out / "unassigned.txt").write_text("0\n1\n")
+    tract = str(workdir / "data" / "tract.slb")
+    if command == "cluster":
+        argv = ["cluster", "--in", tract, "--dist", str(workdir / "d.dm"),
+                "--method", "ksc", "--m", "2"]
+    else:
+        argv = ["segment", "--atlas", str(atlas_dir), "--in", tract]
+    assert main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["result"]["unassigned"] == 0
+    assert not (out / "unassigned.txt").exists()
+    assert "unassigned.txt" not in manifest["outputs"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["cluster", "--method", "ksc", "--m", "0"],
+    ["cluster", "--method", "ksc", "--m", "2", "--smax", "0"],
+    ["cluster", "--method", "gksc", "--m", "2", "--mu", "0"],
+    ["cluster", "--method", "gksc", "--m", "2", "--lambda1", "-1"],
+    ["cluster", "--method", "gksc-manifold", "--m", "2", "--ep-threshold", "-1"],
+    ["atlas-build", "--m", "0"],
+    ["segment", "--smax", "0"],
+], ids=["m", "smax", "mu", "lambda1", "ep-threshold", "atlas-m", "segment-smax"])
+def test_bad_flag_value_is_usage_error(workdir, atlas_dir, tmp_path, capsys, argv):
+    argv = argv + ["--in", str(workdir / "data" / "tract.slb"),
+                   "--out", str(tmp_path / "x")]
+    if argv[0] == "cluster":
+        argv += ["--dist", str(workdir / "d.dm")]
+    if argv[0] == "segment":
+        argv += ["--atlas", str(atlas_dir)]
+    rc = main(argv)
+    assert "error:" in capsys.readouterr().err
+    assert rc == 2
 
 
 # --- environment ------------------------------------------------------------

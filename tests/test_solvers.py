@@ -683,6 +683,31 @@ def test_factored_fits_never_densify_the_kernel(sep5_kernels, monkeypatch):
     assert res.iterations >= 1
 
 
+@pytest.mark.parametrize(
+    "fit", ["kkm", "ksc", "gksc", "gksc_l1", "gksc_laplacian", "gksc_dissolved"]
+)
+def test_fit_labels_come_from_final_w(sep5_kernels, fit):
+    tg, kernels, _ = sep5_kernels
+    k = kernels["dense"]
+    init = spectral_init(k, m=8, seed=1)
+    cfg = SolverConfig(m=8, t_outer=8, lambda2=0.0)
+    lap = graph_laplacian(build_endpoint_graph(tg))
+    res = {
+        "kkm": lambda: kkm_fit(k, cfg, init),
+        "ksc": lambda: ksc_fit(k, cfg, init),
+        "gksc": lambda: gksc_fit(k, SolverConfig(m=8), init),
+        "gksc_l1": lambda: gksc_fit(k, cfg, init),
+        "gksc_laplacian": lambda: gksc_fit(
+            k, SolverConfig(m=8, t_outer=8, lambda2=0.0, lambda_l=0.01), init, lap
+        ),
+        "gksc_dissolved": lambda: gksc_fit(k, SolverConfig(m=8, lambda2=1e6), init),
+    }[fit]()
+    labels, unassigned = hard_labels(res.assignment.w, exclude=res.dictionary.empty)
+    assert np.array_equal(res.labels.labels, labels.labels)
+    assert res.labels.m == labels.m == 8
+    assert np.array_equal(res.unassigned, unassigned)
+
+
 def test_full_support_algebra_allocates_no_kernel_sized_array():
     rng = np.random.default_rng(9)
     x, truth = axis_blobs(rng, m=3, per=200)
