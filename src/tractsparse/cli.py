@@ -198,6 +198,10 @@ def _build_kernel(args, tract, timer):
     if args.nystrom is not None:
         if args.dist is not None:
             raise UsageError("--nystrom computes its own distances; drop --dist")
+        if not 1 <= args.nystrom <= len(tract):
+            raise UsageError(
+                f"--nystrom must be in [1, {len(tract)}], got {args.nystrom}"
+            )
         with timer.stage("kernel"):
             return nystrom_kernel(
                 tract, measure=args.measure, p=args.nystrom,
@@ -272,6 +276,8 @@ def cmd_cluster(args) -> int:
         write_fit_dir(result, cfg, out, method=args.method)
         if args.save_kernel:
             write_km(k, out / "kernel.km")
+        else:
+            (out / "kernel.km").unlink(missing_ok=True)
     row_norms = np.linalg.norm(result.assignment.w, axis=1)
     outputs = sorted(p for p in out.iterdir() if p.name != "manifest.json")
     _write_manifest(
@@ -319,10 +325,11 @@ def cmd_metrics(args) -> int:
                 {"silhouette": mean_sil, "cluster_sizes": sizes},
                 indent=2, sort_keys=True,
             )
-            payload_csv = (
-                MetricReport.csv_header() + "\n"
-                + f",,,{mean_sil!r},{len(sizes)},{min(sizes)},{max(sizes)}\n"
+            report = MetricReport(
+                ri=None, ari=None, nari=None, silhouette=mean_sil,
+                cluster_sizes=tuple(sizes), cluster_silhouette=None,
             )
+            payload_csv = report.csv_header() + "\n" + report.to_csv_row() + "\n"
 
     if args.out is None:
         print(payload_json)
@@ -343,6 +350,8 @@ def cmd_metrics(args) -> int:
 
 def cmd_atlas_build(args) -> int:
     timer = _Timer()
+    if args.sample is not None and args.sample < 1:
+        raise UsageError(f"--sample must be at least 1, got {args.sample}")
     with _flag_values():
         cfg = SolverConfig(
             m=args.m, s_max=args.smax, lambda1=args.lambda1, mu=args.mu,

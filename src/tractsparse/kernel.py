@@ -111,9 +111,10 @@ def rbf_kernel(d: DistanceMatrix, gamma: float) -> KernelMatrix:
 def spectrum_shift(k: KernelMatrix) -> KernelMatrix:
     """Add |λ_min|·I when the kernel is indefinite, recording the shift.
 
-    λ_min comes from a one-pair partial eigensolve. Only the
-    self-similarities change; this is what licenses reusing the unshifted
-    formula for cross-kernel rows against held-out streamlines.
+    λ_min comes from a one-pair partial eigensolve (`sym_eig` with
+    ``count=1``: Lanczos for large n, LAPACK's subset driver below).
+    Only the self-similarities change; this is what licenses reusing the
+    unshifted formula for cross-kernel rows against held-out streamlines.
     """
     if k.is_factored:
         raise ValueError("spectrum shift applies to the dense form only")

@@ -158,12 +158,13 @@ class MetricReport:
     """One evaluation of a predicted labeling.
 
     ``silhouette`` and the per-cluster means are None when no distance
-    matrix was supplied.
+    matrix was supplied; ``ri``, ``ari`` and ``nari`` are None when no
+    ground truth was. A None value is an empty CSV cell.
     """
 
-    ri: float
-    ari: float
-    nari: float
+    ri: float | None
+    ari: float | None
+    nari: float | None
     silhouette: float | None
     cluster_sizes: tuple
     cluster_silhouette: tuple | None
@@ -177,10 +178,10 @@ class MetricReport:
         return "ri,ari,nari,silhouette,n_clusters,min_size,max_size"
 
     def to_csv_row(self) -> str:
-        sil = "" if self.silhouette is None else repr(self.silhouette)
         sizes = self.cluster_sizes or (0,)
+        scores = (self.ri, self.ari, self.nari, self.silhouette)
         return ",".join([
-            repr(self.ri), repr(self.ari), repr(self.nari), sil,
+            *("" if v is None else repr(v) for v in scores),
             str(len(self.cluster_sizes)), str(min(sizes)), str(max(sizes)),
         ])
 

@@ -241,9 +241,11 @@ def spectral_embedding(k: KernelMatrix, n_eig: int = 10) -> np.ndarray:
     """Row-normalized eigenvectors of the normalized kernel Laplacian.
 
     Uses the n_eig smallest eigenvalues of I − D^{−1/2}·K·D^{−1/2}. Only
-    those min(n_eig, n) eigenpairs are computed, not the full spectrum. Each
-    vector is determined up to sign, which k-means on the normalized rows
-    does not see.
+    those min(n_eig, n) eigenpairs are computed, not the full spectrum
+    (`sym_eig`: Lanczos for large n, LAPACK's subset driver below). Each
+    vector is determined up to sign, and a near-degenerate group of them
+    only up to a rotation. k-means on the normalized rows sees neither,
+    except where rounding decides an exact distance tie.
     """
     kd = k.dense()
     n = k.n

@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tractsparse import linalg, synth
 from tractsparse.cli import main
-from tractsparse.io import read_dm, read_km, read_labels, read_slb
+from tractsparse.io import read_dm, read_km, read_labels, read_slb, write_slb
 from tractsparse.distances import pairwise_distances
-from tractsparse.metrics import adjusted_rand_index
+from tractsparse.metrics import adjusted_rand_index, silhouette
 
 
 def sha(path):
@@ -216,6 +217,28 @@ def test_cluster_eigensolver_failure_is_numerical_error(workdir, tmp_path,
     assert "eigensolver failed" in capsys.readouterr().err
 
 
+def test_cluster_lanczos_failure_is_numerical_error(tmp_path, monkeypatch, capsys):
+    import scipy.linalg
+    import scipy.sparse.linalg
+
+    tract, _ = synth.preset_separated5(seed=0, total_count=linalg._LANCZOS_MIN_N)
+    write_slb(tract, tmp_path / "tract.slb")
+
+    def stall(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "forced non-convergence", np.zeros(0), np.zeros((0, 0)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK must not stand in for a failed Lanczos solve")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stall)
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    rc = main(["cluster", "--in", str(tmp_path / "tract.slb"), "--method", "ksc",
+               "--m", "5", "--out", str(tmp_path / "fit")])
+    assert rc == 4
+    assert "eigensolver failed" in capsys.readouterr().err
+
+
 def test_cluster_save_kernel(workdir, tmp_path):
     out = tmp_path / "fit"
     assert main(["cluster", "--in", str(workdir / "data" / "tract.slb"),
@@ -224,6 +247,18 @@ def test_cluster_save_kernel(workdir, tmp_path):
     k = read_km(out / "kernel.km")
     assert k.n == 200
     assert k.gamma > 0
+
+
+def test_rerun_without_save_kernel_removes_stale_kernel(workdir, tmp_path):
+    out = tmp_path / "fit"
+    argv = ["cluster", "--in", str(workdir / "data" / "tract.slb"),
+            "--dist", str(workdir / "d.dm"), "--method", "kkm", "--m", "2",
+            "--out", str(out)]
+    assert main(argv + ["--save-kernel"]) == 0
+    assert "kernel.km" in json.loads((out / "manifest.json").read_text())["outputs"]
+    assert main(argv) == 0
+    assert not (out / "kernel.km").exists()
+    assert "kernel.km" not in json.loads((out / "manifest.json").read_text())["outputs"]
 
 
 def test_cluster_same_seed_same_bytes(workdir, tmp_path):
@@ -267,6 +302,18 @@ def test_metrics_csv_output(workdir, tmp_path):
     header, row = out.read_text().strip().splitlines()
     assert header == "ri,ari,nari,silhouette,n_clusters,min_size,max_size"
     assert row.split(",")[1] == "1.0"
+
+
+def test_metrics_silhouette_only_csv(workdir, tmp_path):
+    pred = workdir / "data" / "labels.txt"
+    out = tmp_path / "report.csv"
+    assert main(["metrics", "--pred", str(pred), "--dist", str(workdir / "d.dm"),
+                 "--out", str(out)]) == 0
+    mean_sil, _ = silhouette(read_dm(workdir / "d.dm"), read_labels(pred))
+    assert out.read_text() == (
+        "ri,ari,nari,silhouette,n_clusters,min_size,max_size\n"
+        f",,,{mean_sil!r},2,100,100\n"
+    )
 
 
 def test_metrics_without_truth_or_dist_is_usage_error(workdir, capsys):
@@ -361,6 +408,21 @@ def test_bad_flag_value_is_usage_error(workdir, atlas_dir, tmp_path, capsys, arg
         argv += ["--atlas", str(atlas_dir)]
     rc = main(argv)
     assert "error:" in capsys.readouterr().err
+    assert rc == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["cluster", "--method", "ksc", "--m", "2", "--nystrom", "0"], "--nystrom"),
+    (["cluster", "--method", "ksc", "--m", "2", "--nystrom", "-3"], "--nystrom"),
+    (["cluster", "--method", "ksc", "--m", "2", "--nystrom", "201"], "--nystrom"),
+    (["atlas-build", "--m", "2", "--sample", "0"], "--sample"),
+    (["atlas-build", "--m", "2", "--sample", "-1"], "--sample"),
+], ids=["nystrom-0", "nystrom-negative", "nystrom-above-n", "sample-0",
+        "sample-negative"])
+def test_count_flag_out_of_range_names_the_flag(workdir, tmp_path, capsys, argv, flag):
+    rc = main(argv + ["--in", str(workdir / "data" / "tract.slb"),
+                      "--out", str(tmp_path / "x")])
+    assert flag in capsys.readouterr().err
     assert rc == 2
 
 

@@ -2,8 +2,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
-from tractsparse.errors import SingularAfterRidge, SingularPencil
+from tractsparse import linalg
+from tractsparse.errors import EigenFailure, SingularAfterRidge, SingularPencil
 from tractsparse.linalg import (
     nnls,
     ridge_solve,
@@ -93,6 +96,53 @@ def test_sym_eig_count_matches_full_low_end():
         # eigenvectors agree up to sign
         signs = np.sign(np.sum(v * v_full[:, :k], axis=0))
         np.testing.assert_allclose(v * signs, v_full[:, :k], atol=1e-8)
+
+
+# --- sym_eig: the Lanczos path ------------------------------------------------
+
+def low_end_separated(n, seed):
+    """Symmetric n×n matrix with eigenvalues −10, −9, …, −1 below a bulk in [0, 1]."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lam = np.concatenate([np.arange(-10.0, 0.0), rng.uniform(0.0, 1.0, n - 10)])
+    a = (q * lam) @ q.T
+    return (a + a.T) / 2
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("this eigensolver must not run here")
+
+
+@pytest.mark.parametrize("count", [1, 5, 10])
+def test_sym_eig_lanczos_matches_lapack_subset(monkeypatch, count):
+    a = low_end_separated(linalg._LANCZOS_MIN_N, seed=count)
+    w_ref, v_ref = scipy.linalg.eigh(a, subset_by_index=[0, count - 1])
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    w, v = sym_eig(a, count=count)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-10)
+    signs = np.sign(np.sum(v * v_ref, axis=0))
+    np.testing.assert_allclose(v * signs, v_ref, atol=1e-8)
+
+
+def test_sym_eig_full_and_small_orders_stay_on_lapack(monkeypatch):
+    n = linalg._LANCZOS_MIN_N
+    a = low_end_separated(n, seed=0)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", refuse)
+    w, v = sym_eig(a)
+    assert w.shape == (n,) and v.shape == (n, n)
+    w, _ = sym_eig(a[:n - 1, :n - 1], count=1)
+    assert w.shape == (1,)
+
+
+def test_sym_eig_lanczos_failure_is_eigen_failure(monkeypatch):
+    def stall(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "forced non-convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stall)
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)  # no LAPACK fallback
+    with pytest.raises(EigenFailure, match="forced non-convergence"):
+        sym_eig(low_end_separated(linalg._LANCZOS_MIN_N, seed=0), count=1)
 
 
 # --- nnls ------------------------------------------------------------------

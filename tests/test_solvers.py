@@ -10,7 +10,7 @@ from tractsparse.errors import (
     EmptyCluster,
     ZeroDegreeRow,
 )
-from tractsparse import solvers, synth
+from tractsparse import linalg, solvers, synth
 from tractsparse.distances import (
     build_endpoint_graph,
     graph_laplacian,
@@ -169,6 +169,27 @@ def test_spectral_init_single_cluster():
     k = KernelMatrix(5, 1.0, 0.0, dense_values=np.eye(5))
     lab = spectral_init(k, 1)
     assert np.array_equal(lab.labels, np.zeros(5))
+
+
+@pytest.fixture(scope="module")
+def lanczos_sized_kernel():
+    """A sep5 kernel at the smallest order whose partial eigensolves use Lanczos."""
+    tract, _ = synth.preset_separated5(seed=0, total_count=linalg._LANCZOS_MIN_N)
+    return kernel_from_distances(pairwise_distances(tract, "mcp"))
+
+
+@pytest.mark.parametrize("m", [5, 10])
+def test_spectral_init_lanczos_labels_match_lapack_embedding(lanczos_sized_kernel, m):
+    k = lanczos_sized_kernel
+    n = k.n
+    kd = k.dense()
+    inv_sqrt = 1.0 / np.sqrt(kd.sum(axis=1))
+    lap = np.eye(n) - inv_sqrt[:, None] * kd * inv_sqrt[None, :]
+    _, emb = scipy.linalg.eigh((lap + lap.T) / 2.0, subset_by_index=[0, m - 1])
+    emb /= np.linalg.norm(emb, axis=1)[:, None]
+    want = solvers._lloyd(emb, m, np.random.default_rng(3))
+    got = spectral_init(k, m, seed=3)
+    assert np.array_equal(np.asarray(got.labels), want)
 
 
 def test_spectral_embedding_zero_degree_row():
