@@ -13,7 +13,7 @@ tractsparse distances --in "$work/data/tract.slb" --measure mcp \
     --out "$work/d.dm" --csv "$work/d.csv"
 
 tractsparse cluster --in "$work/data/tract.slb" --dist "$work/d.dm" \
-    --method gksc --m 4 --out "$work/fit"
+    --method gksc --m 4 --save-kernel --out "$work/fit"
 
 tractsparse metrics --pred "$work/fit/labels.txt" \
     --truth "$work/data/labels.txt" --dist "$work/d.dm"

@@ -19,7 +19,7 @@ import numpy as np
 from .distances import MEASURES, cross_distances, pairwise_distances
 from .errors import AtlasVersionMismatch, EmptyTractogram, FormatError
 from .io import _atomic_write_text, read_dense_csv, read_slb, write_dense_csv, write_slb
-from .kernel import KernelMatrix, kernel_from_distances
+from .kernel import _rbf_values, _shifted_rbf, kernel_from_distances
 from .model import Labeling, SolverConfig, Tractogram, validate_tractogram
 from .solvers import (
     Assignment,
@@ -148,16 +148,10 @@ def segment_with_atlas(
     if s < 1:
         raise ValueError("s_max must be >= 1")
 
-    n_train = len(atlas.training)
     d_train = pairwise_distances(atlas.training, atlas.measure, threads=threads)
-    vals = np.exp(-atlas.gamma * np.square(d_train.values))
-    if atlas.shift:
-        vals = vals + atlas.shift * np.eye(n_train)
-    k_train = KernelMatrix(
-        n=n_train, gamma=atlas.gamma, shift=atlas.shift, dense_values=vals
-    )
+    k_train = _shifted_rbf(d_train.values, atlas.gamma, atlas.shift)
     d_cross = cross_distances(atlas.training, new_t, atlas.measure, threads=threads)
-    cross = np.exp(-atlas.gamma * np.square(d_cross))
+    cross = _rbf_values(d_cross, atlas.gamma)
     assignment, labels, unassigned = segment_with_dictionary(
         k_train, atlas.dictionary, cross, s
     )

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DegenerateStreamline, NonFiniteCoordinate
-from .model import Streamline, Tractogram, _frozen_array, validate_tractogram
+from .model import Streamline, Tractogram, _adopt, _frozen_array, validate_tractogram
 
 MEASURES = ("mcp", "haus", "ep")
 
@@ -293,7 +293,7 @@ def pairwise_distances(
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
     validate_tractogram(t)
     values = _assemble(_tiles(t, measure), None, measure, _resolve_threads(threads))
-    return DistanceMatrix(n=len(t), values=values)
+    return _adopt(DistanceMatrix, n=len(t), values=values)
 
 
 def cross_distances(

@@ -5,11 +5,14 @@ so the same input hashes identically across platforms. Text and CSV
 mirrors exist for inspection and interop; floats there are written with
 shortest round-trip repr, so they reload exactly as well. Every writer
 goes through a temporary file in the target directory followed by an
-atomic rename.
+atomic rename. Matrix payloads are written a row or block at a time and
+read straight into the array they fill, so neither direction holds a
+second copy of an n×n matrix.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -23,7 +26,7 @@ import numpy as np
 from .distances import DistanceMatrix
 from .errors import FormatError
 from .kernel import KernelMatrix
-from .model import Labeling, SolverConfig, Streamline, Tractogram
+from .model import Labeling, SolverConfig, Streamline, Tractogram, _adopt
 
 SLB_MAGIC = b"SLB1"
 DM_MAGIC = b"DM01"
@@ -36,12 +39,27 @@ _F64 = struct.Struct("<d")
 _SANE_COUNT = 10**9
 
 
-def _atomic_write_bytes(path, data: bytes):
+class _Chunks:
+    """Bytes-like pieces to write one after another, never joined in memory.
+
+    ``len()`` is their total size in bytes, as it is for a single payload.
+    """
+
+    def __init__(self, parts):
+        self.parts = parts
+
+    def __len__(self):
+        return sum(memoryview(p).nbytes for p in self.parts)
+
+
+def _atomic_write_bytes(path, data):
+    """Write ``data`` (bytes-like, or `_Chunks` in order) via a temp file and rename."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            for part in data.parts if isinstance(data, _Chunks) else (data,):
+                f.write(part)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -118,24 +136,42 @@ def write_slb(t: Tractogram, path):
     parts = [SLB_MAGIC, _U64.pack(len(t))]
     for s in t:
         parts.append(_U64.pack(len(s)))
-        parts.append(np.ascontiguousarray(s.points, dtype="<f8").tobytes())
-    _atomic_write_bytes(path, b"".join(parts))
+        parts.append(np.ascontiguousarray(s.points, dtype="<f8"))
+    _atomic_write_bytes(path, _Chunks(parts))
 
 
 class _Reader:
-    """Sequential parser with out-of-data detection for binary files."""
+    """Sequential parser over an open binary file with out-of-data detection.
 
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.pos = 0
+    Every read is checked against the bytes left in the file before
+    anything is allocated, so a corrupt count fails as FormatError, not as
+    a huge allocation.
+    """
+
+    def __init__(self, f, path):
+        self.f = f
         self.path = path
+        self.left = os.fstat(f.fileno()).st_size
+
+    def _need(self, count: int):
+        if count > self.left:
+            raise FormatError(f"{self.path}: truncated (wanted {count} more bytes)")
+
+    def _claim(self, count: int):
+        self._need(count)
+        self.left -= count
+
+    def expect_rest(self, count: int):
+        """Fail unless exactly ``count`` bytes are left; reads nothing."""
+        self._need(count)
+        if self.left != count:
+            raise FormatError(f"{self.path}: {self.left - count} trailing bytes")
 
     def take(self, count: int) -> bytes:
-        end = self.pos + count
-        if end > len(self.data):
-            raise FormatError(f"{self.path}: truncated (wanted {count} more bytes)")
-        out = self.data[self.pos:end]
-        self.pos = end
+        self._claim(count)
+        out = self.f.read(count)
+        if len(out) != count:
+            raise FormatError(f"{self.path}: truncated while reading")
         return out
 
     def u64(self) -> int:
@@ -149,35 +185,40 @@ class _Reader:
         return v
 
     def f64_array(self, count: int, shape=None) -> np.ndarray:
-        arr = np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
+        """``count`` float64 values read straight into a new array."""
+        self._claim(8 * count)
+        arr = np.empty(count, dtype="<f8")
+        if self.f.readinto(memoryview(arr).cast("B")) != 8 * count:
+            raise FormatError(f"{self.path}: truncated while reading")
+        arr = arr.astype(np.float64, copy=False)
         return arr if shape is None else arr.reshape(shape)
 
     def done(self):
-        if self.pos != len(self.data):
-            raise FormatError(f"{self.path}: {len(self.data) - self.pos} trailing bytes")
+        self.expect_rest(0)
 
 
-def _read_binary(path, magic: bytes) -> _Reader:
+@contextlib.contextmanager
+def _read_binary(path, magic: bytes):
+    """A `_Reader` past the magic header; the file closes when the block ends."""
     with open(path, "rb") as f:
-        data = f.read()
-    r = _Reader(data, path)
-    if r.take(len(magic)) != magic:
-        raise FormatError(f"{path}: bad magic, expected {magic!r}")
-    return r
+        r = _Reader(f, path)
+        if r.take(len(magic)) != magic:
+            raise FormatError(f"{path}: bad magic, expected {magic!r}")
+        yield r
 
 
 def read_slb(path) -> Tractogram:
-    r = _read_binary(path, SLB_MAGIC)
-    count = r.u64()
-    streamlines = []
-    for _ in range(count):
-        npts = r.u64()
-        pts = r.f64_array(3 * npts, shape=(npts, 3))
-        try:
-            streamlines.append(Streamline(pts))
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-    r.done()
+    with _read_binary(path, SLB_MAGIC) as r:
+        count = r.u64()
+        streamlines = []
+        for _ in range(count):
+            npts = r.u64()
+            pts = r.f64_array(3 * npts, shape=(npts, 3))
+            try:
+                streamlines.append(Streamline(pts))
+            except ValueError as exc:
+                raise FormatError(f"{path}: {exc}") from exc
+        r.done()
     if not streamlines:
         raise FormatError(f"{path}: no streamlines found")
     return Tractogram(tuple(streamlines))
@@ -212,23 +253,34 @@ def read_labels(path, m: int | None = None) -> Labeling:
 # --- distance matrix -------------------------------------------------------
 
 def write_dm(d: DistanceMatrix, path):
-    """Binary: magic, u64 n, upper triangle (diagonal included) row-major f64."""
-    iu = np.triu_indices(d.n)
-    payload = np.ascontiguousarray(d.values[iu], dtype="<f8").tobytes()
-    _atomic_write_bytes(path, DM_MAGIC + _U64.pack(d.n) + payload)
+    """Binary: magic, u64 n, upper triangle (diagonal included) row-major f64.
+
+    Streamed row by row: each row's ``values[i, i:]`` is written in turn.
+    """
+    v = d.values
+    rows = [np.ascontiguousarray(v[i, i:], dtype="<f8") for i in range(d.n)]
+    _atomic_write_bytes(path, _Chunks([DM_MAGIC + _U64.pack(d.n), *rows]))
 
 
 def read_dm(path) -> DistanceMatrix:
-    r = _read_binary(path, DM_MAGIC)
-    n = r.u64()
-    tri = r.f64_array(n * (n + 1) // 2)
-    r.done()
-    values = np.zeros((n, n))
-    iu = np.triu_indices(n)
-    values[iu] = tri
-    values.T[iu] = tri
+    """Read a ``.dm`` file: one read of the triangle, then row slices into the matrix.
+
+    The file size is checked against the header's n before anything is
+    allocated. At peak the triangle and the matrix are held (1.5 matrices).
+    """
+    with _read_binary(path, DM_MAGIC) as r:
+        n = r.u64()
+        size = n * (n + 1) // 2
+        r.expect_rest(8 * size)
+        tri = r.f64_array(size)
+    values = np.empty((n, n))
+    start = 0
+    for i in range(n):
+        values[i, i:] = values[i:, i] = tri[start : start + n - i]
+        start += n - i
+    del tri
     try:
-        return DistanceMatrix(n=n, values=values)
+        return _adopt(DistanceMatrix, n=n, values=values)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -255,7 +307,7 @@ def write_km(k: KernelMatrix, path):
         payload = np.ascontiguousarray(k.factor, dtype="<f8")
         p = payload.shape[1]
         landmarks = k.landmarks if k.landmarks is not None else np.array([], dtype=np.int64)
-        tail = _U64.pack(len(landmarks)) + b"".join(_U64.pack(int(i)) for i in landmarks)
+        tail = _U64.pack(len(landmarks)) + np.asarray(landmarks, dtype="<u8").tobytes()
     else:
         form = _KM_DENSE
         payload = np.ascontiguousarray(k.dense_values, dtype="<f8")
@@ -263,32 +315,36 @@ def write_km(k: KernelMatrix, path):
         tail = b""
     head = KM_MAGIC + struct.pack("<B", form) + _U64.pack(k.n) + _U64.pack(p)
     head += _F64.pack(k.gamma) + _F64.pack(k.shift)
-    _atomic_write_bytes(path, head + payload.tobytes() + tail)
+    _atomic_write_bytes(path, _Chunks([head, payload, tail]))
 
 
 def read_km(path) -> KernelMatrix:
-    r = _read_binary(path, KM_MAGIC)
-    (form,) = struct.unpack("<B", r.take(1))
-    n, p = r.u64(), r.u64()
-    gamma, shift = r.f64(), r.f64()
-    try:
-        if form == _KM_DENSE:
-            if p != n:
-                raise FormatError(f"{path}: dense form with p={p} != n={n}")
-            values = r.f64_array(n * n, shape=(n, n))
-            r.done()
-            return KernelMatrix(n=n, gamma=gamma, shift=shift, dense_values=values)
-        if form == _KM_FACTORED:
-            factor = r.f64_array(n * p, shape=(n, p))
-            count = r.u64()
-            landmarks = np.array([r.u64() for _ in range(count)], dtype=np.int64)
-            r.done()
-            return KernelMatrix(
-                n=n, gamma=gamma, shift=shift, factor=factor,
-                landmarks=landmarks if count else None,
-            )
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    with _read_binary(path, KM_MAGIC) as r:
+        (form,) = struct.unpack("<B", r.take(1))
+        n, p = r.u64(), r.u64()
+        gamma, shift = r.f64(), r.f64()
+        try:
+            if form == _KM_DENSE:
+                if p != n:
+                    raise FormatError(f"{path}: dense form with p={p} != n={n}")
+                r.expect_rest(8 * n * n)
+                values = r.f64_array(n * n, shape=(n, n))
+                return _adopt(
+                    KernelMatrix, n=n, gamma=gamma, shift=shift, dense_values=values
+                )
+            if form == _KM_FACTORED:
+                factor = r.f64_array(n * p, shape=(n, p))
+                count = r.u64()
+                landmarks = np.frombuffer(r.take(8 * count), dtype="<u8")
+                if count and landmarks.max() > _SANE_COUNT:
+                    raise FormatError(f"{path}: implausible landmark index {landmarks.max()}")
+                r.done()
+                return _adopt(
+                    KernelMatrix, n=n, gamma=gamma, shift=shift, factor=factor,
+                    landmarks=landmarks.astype(np.int64) if count else None,
+                )
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
     raise FormatError(f"{path}: unknown kernel form tag {form}")
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .distances import MEASURES, DistanceMatrix, cross_distances, pairwise_distances
 from .errors import AllZeroDistances, RankDeficientWarning
-from .linalg import sym_eig
-from .model import Tractogram, _frozen_array, validate_tractogram
+from .linalg import _symmetric_within, sym_eig
+from .model import Tractogram, _adopt, _frozen_array, validate_tractogram
 
 _EIG_FLOOR_REL = 1e-10
 
@@ -46,8 +46,7 @@ class KernelMatrix:
             k = np.asarray(self.dense_values, dtype=np.float64)
             if k.shape != (self.n, self.n):
                 raise ValueError(f"dense kernel must be ({self.n}, {self.n})")
-            scale = max(1.0, np.abs(k).max() if k.size else 0.0)
-            if np.abs(k - k.T).max(initial=0.0) > 1e-12 * scale:
+            if not _symmetric_within(k, 1e-12):
                 raise ValueError("dense kernel must be symmetric within 1e-12")
             object.__setattr__(self, "dense_values", _frozen_array(k))
         else:
@@ -90,41 +89,76 @@ def select_gamma(d: DistanceMatrix) -> float:
     """
     if d.n < 2:
         raise ValueError("need at least 2 streamlines to select gamma")
-    off = d.values[~np.eye(d.n, dtype=bool)]
+    # The off-diagonal entries are the strict upper triangle twice over, and
+    # doubling a multiset keeps its median, to the bit.
+    off = np.concatenate([d.values[i, i + 1 :] for i in range(d.n - 1)])
     if not off.any():
         raise AllZeroDistances("all off-diagonal distances are zero")
-    sigma = float(np.median(off))
+    sigma = float(np.median(off, overwrite_input=True))
     if sigma == 0.0:
         # Majority of exact duplicates; fall back to the positive entries.
         sigma = float(np.median(off[off > 0]))
     return 1.0 / (2.0 * sigma * sigma)
 
 
-def rbf_kernel(d: DistanceMatrix, gamma: float) -> KernelMatrix:
-    """k(i, j) = exp(−γ·d(i, j)²); dense, no shift applied yet."""
+def _rbf_values(d: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(−γ·d²) in one fresh array, squared, scaled and exponentiated in place."""
+    k = np.square(d)
+    k *= -gamma
+    return np.exp(k, out=k)
+
+
+def _psd_shift(values: np.ndarray) -> float:
+    """|λ_min| of a symmetric matrix when λ_min is negative, else 0.0.
+
+    λ_min comes from a one-pair partial eigensolve (`sym_eig` with
+    ``count=1``: Lanczos for large n, LAPACK's subset driver below).
+    """
+    lam_min = float(sym_eig(values, count=1)[0][0])
+    return -lam_min if lam_min < 0.0 else 0.0
+
+
+def _shifted_rbf(d: np.ndarray, gamma: float, shift: float | None = None) -> KernelMatrix:
+    """Dense exp(−γ·d²) + shift·I, built in a single n×n array.
+
+    With ``shift`` None the shift is `_psd_shift` of the unshifted kernel.
+    The shift is added to the diagonal alone, which gives the same floats
+    as adding shift·I.
+    """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    values = np.exp(-gamma * np.square(d.values))
-    return KernelMatrix(n=d.n, gamma=float(gamma), shift=0.0, dense_values=values)
+    values = _rbf_values(d, gamma)
+    if shift is None:
+        shift = _psd_shift(values)
+    if shift:
+        np.fill_diagonal(values, values.diagonal() + shift)
+    return _adopt(
+        KernelMatrix, n=values.shape[0], gamma=float(gamma), shift=shift,
+        dense_values=values,
+    )
+
+
+def rbf_kernel(d: DistanceMatrix, gamma: float) -> KernelMatrix:
+    """k(i, j) = exp(−γ·d(i, j)²); dense, no shift applied yet."""
+    return _shifted_rbf(d.values, gamma, shift=0.0)
 
 
 def spectrum_shift(k: KernelMatrix) -> KernelMatrix:
     """Add |λ_min|·I when the kernel is indefinite, recording the shift.
 
-    λ_min comes from a one-pair partial eigensolve (`sym_eig` with
-    ``count=1``: Lanczos for large n, LAPACK's subset driver below).
-    Only the self-similarities change; this is what licenses reusing the
-    unshifted formula for cross-kernel rows against held-out streamlines.
+    λ_min is found as in `_psd_shift`. Only the self-similarities change;
+    this is what licenses reusing the unshifted formula for cross-kernel
+    rows against held-out streamlines.
     """
     if k.is_factored:
         raise ValueError("spectrum shift applies to the dense form only")
-    lam_min = float(sym_eig(k.dense_values, count=1)[0][0])
-    if lam_min >= 0.0:
+    shift = _psd_shift(k.dense_values)
+    if not shift:
         return k
-    shift = -lam_min
-    values = np.asarray(k.dense_values) + shift * np.eye(k.n)
-    return KernelMatrix(
-        n=k.n, gamma=k.gamma, shift=k.shift + shift, dense_values=values
+    values = k.dense_values.copy()
+    np.fill_diagonal(values, values.diagonal() + shift)
+    return _adopt(
+        KernelMatrix, n=k.n, gamma=k.gamma, shift=k.shift + shift, dense_values=values
     )
 
 
@@ -132,7 +166,9 @@ def kernel_from_distances(d: DistanceMatrix, gamma: float | None = None) -> Kern
     """Distance matrix to shifted PSD kernel in one step.
 
     With gamma=None the width is selected from the median distance; if every
-    distance is zero a warning is issued and γ falls back to 1.
+    distance is zero a warning is issued and γ falls back to 1. The result
+    equals ``spectrum_shift(rbf_kernel(d, gamma))`` bit for bit but is built
+    in one n×n array.
     """
     if gamma is None:
         try:
@@ -142,7 +178,7 @@ def kernel_from_distances(d: DistanceMatrix, gamma: float | None = None) -> Kern
                 "all distances are zero; falling back to gamma=1", stacklevel=2
             )
             gamma = 1.0
-    return spectrum_shift(rbf_kernel(d, gamma))
+    return _shifted_rbf(d.values, gamma)
 
 
 def _nystrom_factor(k_aa: np.ndarray, k_ab: np.ndarray):
@@ -195,7 +231,7 @@ def nystrom_kernel(
     if rest.size:
         t_rest = Tractogram(tuple(t[i] for i in rest))
         d_ab = cross_distances(t_land, t_rest, measure, threads=threads)
-        k_ab = np.exp(-gamma * np.square(d_ab))
+        k_ab = _rbf_values(d_ab, gamma)
     else:
         k_ab = np.zeros((p, 0))
 
@@ -210,6 +246,7 @@ def nystrom_kernel(
     g = np.empty((n, p))
     g[landmarks] = g_blocks[:p]
     g[rest] = g_blocks[p:]
-    return KernelMatrix(
-        n=n, gamma=float(gamma), shift=k_aa.shift, factor=g, landmarks=landmarks
+    return _adopt(
+        KernelMatrix, n=n, gamma=float(gamma), shift=k_aa.shift, factor=g,
+        landmarks=landmarks,
     )

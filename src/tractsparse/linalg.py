@@ -44,12 +44,53 @@ _LANCZOS_MIN_N = 900
 _LANCZOS_NCV = 40
 
 
+# Elements per block in the blockwise passes over a square matrix (512 KiB
+# of float64), so a symmetry check or symmetrization never holds a second
+# n×n array.
+_BLOCK_ELEMS = 1 << 16
+
+
+def _row_strips(n: int):
+    """(start, stop) of consecutive row blocks covering range(n)."""
+    rows = max(1, _BLOCK_ELEMS // max(n, 1))
+    return [(i, min(i + rows, n)) for i in range(0, n, rows)]
+
+
+def _symmetric_within(a: np.ndarray, tol: float) -> bool:
+    """Whether max |a − aᵀ| ≤ tol·max(1, max |a|) for a square array.
+
+    Each strip of rows is compared with the matching columns from the
+    diagonal on, which covers every pair once. Any NaN passes, since NaN
+    compares false.
+    """
+    if not a.size:
+        return True
+    scale = max(1.0, a.max(), -a.min())
+    worst = []
+    for i, j in _row_strips(a.shape[0]):
+        diff = a[i:j, i:] - a[i:, i:j].T
+        worst.append(np.abs(diff, out=diff).max())
+    return not np.max(worst) > tol * scale
+
+
+def _symmetrize(a: np.ndarray) -> None:
+    """Replace a square array by (a + aᵀ)/2 in place, one strip of rows at a time.
+
+    Entry (i, j) and entry (j, i) both get (a_ij + a_ji)/2, the same float
+    as the whole-matrix expression, since addition commutes.
+    """
+    for i, j in _row_strips(a.shape[0]):
+        strip = a[i:j, i:] + a[i:, i:j].T
+        strip /= 2.0
+        a[i:j, i:] = strip
+        a[i:, i:j] = strip.T
+
+
 def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got {a.shape}")
-    scale = max(1.0, np.abs(a).max() if a.size else 0.0)
-    if np.abs(a - a.T).max(initial=0.0) > _SYM_TOL * scale:
+    if not _symmetric_within(a, _SYM_TOL):
         raise ValueError(f"{name} must be symmetric within {_SYM_TOL}")
     return a
 

@@ -7,6 +7,7 @@ across threads.
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,10 +19,32 @@ from .errors import (
 )
 
 
+# True while `_adopt` builds an object around arrays the package just made.
+_ADOPTING = contextvars.ContextVar("tractsparse_adopting", default=False)
+
+
 def _frozen_array(values, dtype=np.float64):
-    arr = np.array(values, dtype=dtype)
+    """A read-only private copy of ``values``; inside `_adopt`, the array itself."""
+    if _ADOPTING.get() and isinstance(values, np.ndarray) and values.dtype == dtype:
+        arr = values
+    else:
+        arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+def _adopt(cls, **fields):
+    """Build ``cls`` around arrays the caller has just made and hands over.
+
+    Those arrays are frozen in place instead of copied, so a fresh n×n
+    matrix is held once. The public constructors keep copying, so a
+    caller's own array is never frozen behind their back.
+    """
+    token = _ADOPTING.set(True)
+    try:
+        return cls(**fields)
+    finally:
+        _ADOPTING.reset(token)
 
 
 @dataclass(frozen=True)

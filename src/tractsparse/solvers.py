@@ -33,6 +33,7 @@ from .errors import (
 )
 from .kernel import KernelMatrix
 from .linalg import (
+    _symmetrize,
     nnls,
     ridge_solve,
     ridge_solver,
@@ -254,8 +255,13 @@ def spectral_embedding(k: KernelMatrix, n_eig: int = 10) -> np.ndarray:
         bad = int(np.argmin(deg))
         raise ZeroDegreeRow(f"kernel row {bad} sums to {deg[bad]}")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    lap = np.eye(n) - inv_sqrt[:, None] * kd * inv_sqrt[None, :]
-    lap = (lap + lap.T) / 2.0
+    # One n×n buffer; each step is the float operation of the expression
+    # (I − (D^{−1/2}·K)·D^{−1/2} + its transpose)/2, as 1 − x = (0 − x) + 1.
+    lap = inv_sqrt[:, None] * kd
+    lap *= inv_sqrt[None, :]
+    np.subtract(0.0, lap, out=lap)
+    np.fill_diagonal(lap, lap.diagonal() + 1.0)
+    _symmetrize(lap)
     _, emb = sym_eig(lap, count=min(n_eig, n))
     norms = np.linalg.norm(emb, axis=1)
     emb /= np.where(norms > 0, norms, 1.0)[:, None]

@@ -1,9 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from footprint import random_distances, traced_peak
 from tractsparse import Labeling, SolverConfig, Streamline, Tractogram
+from tractsparse.cli import main
 from tractsparse.distances import DistanceMatrix, pairwise_distances
 from tractsparse.errors import FormatError
 from tractsparse.io import (
@@ -151,6 +154,70 @@ def test_dm_corrupt_asymmetry_rejected(tmp_path):
         read_dm(path)
 
 
+def dm_bytes(n, payload):
+    return b"DM01" + struct.pack("<Q", n) + payload
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(lambda good: b"DM02" + good[4:], id="bad-magic"),
+        pytest.param(lambda good: good[:-8], id="truncated-triangle"),
+        pytest.param(lambda good: good + b"\x00" * 8, id="trailing-bytes"),
+        pytest.param(lambda good: dm_bytes(10**6, b"\x00" * 16), id="huge-n-header"),
+    ],
+)
+def test_dm_corrupt_files_raise_format_error_and_exit_3(tmp_path, capsys, case):
+    d = random_distances(4)
+    path = tmp_path / "d.dm"
+    write_dm(d, path)
+    path.write_bytes(case(path.read_bytes()))
+    with pytest.raises(FormatError):
+        read_dm(path)
+    labels = tmp_path / "pred.txt"
+    labels.write_text("0\n1\n0\n1\n")
+    assert main(["metrics", "--pred", str(labels), "--dist", str(path)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_dm_huge_header_fails_on_size_before_allocating(tmp_path):
+    path = tmp_path / "d.dm"
+    path.write_bytes(dm_bytes(10**6, b"\x00" * 16))
+
+    def read():
+        with pytest.raises(FormatError, match="truncated"):
+            read_dm(path)
+
+    _, peak = traced_peak(read)
+    assert peak < 1 << 20
+
+
+def test_write_dm_payload_is_the_upper_triangle_and_streams(tmp_path):
+    n = 1000
+    d = random_distances(n)
+    path = tmp_path / "d.dm"
+    _, peak = traced_peak(write_dm, d, path)
+    assert path.read_bytes() == dm_bytes(n, d.values[np.triu_indices(n)].tobytes())
+    assert peak <= 0.2 * n * n * 8
+
+
+def test_read_dm_holds_at_most_triangle_and_matrix(tmp_path):
+    n = 1000
+    d = random_distances(n, seed=1)
+    path = tmp_path / "d.dm"
+    write_dm(d, path)
+    back, peak = traced_peak(read_dm, path)
+    assert np.array_equal(back.values, d.values)
+    assert peak <= 1.6 * n * n * 8
+
+
+def test_distance_matrix_constructor_copies_caller_array():
+    vals = random_distances(5).values.copy()
+    d = DistanceMatrix(n=5, values=vals)
+    assert vals.flags.writeable and not np.shares_memory(vals, d.values)
+    assert not d.values.flags.writeable
+
+
 # --- kernel matrix ---------------------------------------------------------
 
 def test_km_dense_roundtrip(tmp_path, tract):
@@ -182,6 +249,52 @@ def test_km_unknown_form(tmp_path, tract):
     data[4] = 9
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError):
+        read_km(path)
+
+
+def test_km_bytes_match_layout(tmp_path, tract):
+    dense = kernel_from_distances(pairwise_distances(tract, "mcp"))
+    factored = nystrom_kernel(tract, p=5, seed=0)
+    for k, form, body, tail in (
+        (dense, 0, dense.dense_values, b""),
+        (factored, 1, factored.factor,
+         struct.pack("<Q", 5) + b"".join(struct.pack("<Q", i) for i in factored.landmarks)),
+    ):
+        path = tmp_path / "k.km"
+        write_km(k, path)
+        head = b"KM01" + struct.pack("<BQQdd", form, k.n, body.shape[1], k.gamma, k.shift)
+        assert path.read_bytes() == head + body.tobytes() + tail
+
+
+def test_read_km_dense_holds_one_matrix(tmp_path):
+    n = 1000
+    k = kernel_from_distances(random_distances(n))
+    path = tmp_path / "k.km"
+    write_km(k, path)
+    back, peak = traced_peak(read_km, path)
+    assert np.array_equal(back.dense_values, k.dense_values)
+    assert peak <= 1.2 * n * n * 8  # the matrix and its symmetry check's strips
+
+
+@pytest.mark.parametrize("cut", [-8, 8], ids=["truncated", "trailing"])
+def test_km_dense_size_mismatch(tmp_path, tract, cut):
+    k = kernel_from_distances(pairwise_distances(tract, "mcp"))
+    path = tmp_path / "k.km"
+    write_km(k, path)
+    data = path.read_bytes()
+    path.write_bytes(data[:cut] if cut < 0 else data + b"\x00" * cut)
+    with pytest.raises(FormatError):
+        read_km(path)
+
+
+def test_km_implausible_landmark_rejected(tmp_path, tract):
+    k = nystrom_kernel(tract, p=5, seed=0)
+    path = tmp_path / "k.km"
+    write_km(k, path)
+    data = bytearray(path.read_bytes())
+    data[-8:] = struct.pack("<Q", 2**63)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="implausible"):
         read_km(path)
 
 

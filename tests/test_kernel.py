@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from footprint import random_distances, traced_peak
 from tractsparse import Streamline, Tractogram, pairwise_distances
 from tractsparse.distances import DistanceMatrix
 from tractsparse.errors import AllZeroDistances, RankDeficientWarning
@@ -15,6 +16,7 @@ from tractsparse.kernel import (
     select_gamma,
     spectrum_shift,
 )
+from tractsparse.linalg import sym_eig
 
 
 def distance_matrix_from(values):
@@ -135,6 +137,29 @@ def test_kernel_invariant_under_power_of_two_scaling():
     k1 = kernel_from_distances(distance_matrix_from(d))
     k2 = kernel_from_distances(distance_matrix_from(4.0 * d))
     assert np.array_equal(k1.dense_values, k2.dense_values)
+
+
+def test_kernel_from_distances_is_the_formula_built_in_one_buffer():
+    n = 1000
+    d = random_distances(n)
+    k, peak = traced_peak(kernel_from_distances, d)
+    sigma = float(np.median(d.values[~np.eye(n, dtype=bool)]))
+    gamma = 1.0 / (2.0 * sigma * sigma)
+    unshifted = np.exp(-gamma * np.square(d.values))
+    lam_min = float(sym_eig(unshifted, count=1)[0][0])
+    assert lam_min < 0.0
+    assert k.gamma == gamma and k.shift == -lam_min
+    assert np.array_equal(k.dense_values, unshifted + k.shift * np.eye(n))
+    assert np.array_equal(k.dense_values, spectrum_shift(rbf_kernel(d, gamma)).dense_values)
+    assert peak <= 1.6 * n * n * 8
+
+
+def test_rbf_kernel_constructor_path_keeps_caller_arrays_writable():
+    d = random_distances(6)
+    vals = rbf_kernel(d, 0.1).dense_values.copy()
+    k = KernelMatrix(n=6, gamma=0.1, dense_values=vals)
+    assert vals.flags.writeable and not np.shares_memory(vals, k.dense_values)
+    assert not rbf_kernel(d, 0.1).dense_values.flags.writeable
 
 
 # --- common interface ------------------------------------------------------

@@ -17,6 +17,22 @@ from tractsparse.linalg import (
 )
 
 
+@pytest.mark.parametrize("n", [2, 7, 600])
+def test_blockwise_symmetry_check_and_symmetrize_match_whole_matrix(n):
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n))
+    want = (a + a.T) / 2.0
+    got = a.copy()
+    linalg._symmetrize(got)
+    assert np.array_equal(got, want)
+    assert linalg._symmetric_within(want, 1e-12)
+    scale = max(1.0, np.abs(want).max())
+    for delta, ok in ((0.5e-12, True), (2e-12, False)):
+        bent = want.copy()
+        bent[n - 1, 0] += delta * scale
+        assert linalg._symmetric_within(bent, 1e-12) is ok
+
+
 def brute_force_nnls(gram, rhs):
     """Enumerate every active set, keep feasible stationary points."""
     s = rhs.size

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from footprint import random_distances, traced_peak
 from oracles import column_pursuit, nnls_on_support, reference_lloyd
 from tractsparse.errors import (
     DegenerateAtom,
@@ -190,6 +191,25 @@ def test_spectral_init_lanczos_labels_match_lapack_embedding(lanczos_sized_kerne
     want = solvers._lloyd(emb, m, np.random.default_rng(3))
     got = spectral_init(k, m, seed=3)
     assert np.array_equal(np.asarray(got.labels), want)
+
+
+def test_spectral_embedding_laplacian_is_the_formula_built_in_one_buffer(monkeypatch):
+    n = 1000
+    k = kernel_from_distances(random_distances(n, seed=2))
+    seen = []
+    real = solvers.sym_eig
+
+    def capture(a, count=None):
+        seen.append(a)
+        return real(a, count)
+
+    monkeypatch.setattr(solvers, "sym_eig", capture)
+    _, peak = traced_peak(spectral_embedding, k, 5)
+    kd = k.dense()
+    inv_sqrt = 1.0 / np.sqrt(kd.sum(axis=1))
+    lap = np.eye(n) - inv_sqrt[:, None] * kd * inv_sqrt[None, :]
+    assert np.array_equal(seen[0], (lap + lap.T) / 2.0)
+    assert peak <= 1.6 * n * n * 8
 
 
 def test_spectral_embedding_zero_degree_row():
