@@ -122,7 +122,6 @@ def build_atlas(
 def segment_with_atlas(
     atlas: Atlas,
     new_t: Tractogram,
-    s_max: int | None = None,
     measure: str | None = None,
     threads: int | None = 1,
 ) -> SegmentResult:
@@ -144,16 +143,13 @@ def segment_with_atlas(
             f"atlas was built with measure {atlas.measure!r}, not {measure!r}"
         )
     validate_tractogram(new_t)
-    s = atlas.s_max if s_max is None else s_max
-    if s < 1:
-        raise ValueError("s_max must be >= 1")
 
     d_train = pairwise_distances(atlas.training, atlas.measure, threads=threads)
     k_train = _shifted_rbf(d_train.values, atlas.gamma, atlas.shift)
     d_cross = cross_distances(atlas.training, new_t, atlas.measure, threads=threads)
     cross = _rbf_values(d_cross, atlas.gamma)
     assignment, labels, unassigned = segment_with_dictionary(
-        k_train, atlas.dictionary, cross, s
+        k_train, atlas.dictionary, cross, atlas.s_max
     )
     return SegmentResult(assignment=assignment, labels=labels, unassigned=unassigned)
 
@@ -216,6 +212,8 @@ def load_atlas(path) -> Atlas:
         params = json.loads(params_file.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{params_file}: {exc}") from exc
+    if not isinstance(params, dict):
+        raise FormatError(f"{params_file}: expected a JSON object")
     version = params.get("format_version")
     if version != ATLAS_FORMAT_VERSION:
         raise AtlasVersionMismatch(

@@ -249,15 +249,7 @@ def cmd_cluster(args) -> int:
             if args.method == "kkm":
                 init = Labeling(kkm_assign(k, selection), m=args.m)
         else:
-            try:
-                init = spectral_init(k, m=args.m, seed=args.seed)
-            except NumericalError as exc:
-                if args.nystrom is not None:
-                    raise NumericalError(
-                        f"{exc} (the landmark approximation is too coarse for "
-                        "the spectral start; raise --nystrom or use --init random)"
-                    ) from exc
-                raise
+            init = spectral_init(k, m=args.m, seed=args.seed)
 
     with timer.stage("fit"):
         if args.method == "kkm":

@@ -85,7 +85,7 @@ class DegenerateAtom(NumericalError):
 # --- warnings --------------------------------------------------------------
 
 class RankDeficientWarning(UserWarning):
-    """More than half of the landmark eigenvalues were floored."""
+    """More than half of the landmark eigenvalues were dropped."""
 
 
 class SingleClusterWarning(UserWarning):

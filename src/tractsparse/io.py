@@ -297,10 +297,10 @@ _KM_FACTORED = 1
 
 
 def write_km(k: KernelMatrix, path):
-    """Binary: magic, u8 form tag, u64 n and p, f64 gamma and shift, payload.
+    """Binary: magic, u8 form tag, u64 n and width r, f64 gamma and shift, payload.
 
-    Dense form stores the full n×n block (p written as n); the factored
-    form stores the n×p factor followed by the landmark index list.
+    Dense form stores the full n×n block (r written as n); the factored
+    form stores the n×r factor, r ≤ p, followed by the p landmark indices.
     """
     if k.is_factored:
         form = _KM_FACTORED

@@ -26,7 +26,7 @@ _EIG_FLOOR_REL = 1e-10
 class KernelMatrix:
     """RBF kernel over streamlines, dense or as a low-rank factor.
 
-    Exactly one of ``dense_values`` (n×n) and ``factor`` (n×p, K ≈ G·Gᵀ) is
+    Exactly one of ``dense_values`` (n×n) and ``factor`` (n×r, K ≈ G·Gᵀ) is
     set. ``shift`` records the spectrum shift folded into the values.
     """
 
@@ -184,17 +184,15 @@ def kernel_from_distances(d: DistanceMatrix, gamma: float | None = None) -> Kern
 def _nystrom_factor(k_aa: np.ndarray, k_ab: np.ndarray):
     """Low-rank factor rows from the landmark block and the cross block.
 
-    Returns the (p+q)×p factor in landmark-first row order and the number of
-    floored eigenvalues.
+    Keeps the landmark eigenpairs (w, V) with w above `_EIG_FLOOR_REL`·λ_max
+    and returns the (p+q)×r factor [V·√w; K_abᵀ·V/√w] in landmark-first row
+    order, r ≤ p, with the number of dropped eigenpairs.
     """
     w, v = sym_eig(k_aa)
-    floor = _EIG_FLOOR_REL * w[-1]
-    floored = int((w < floor).sum())
-    w = np.maximum(w, floor)
-    inv_sqrt = (v / np.sqrt(w)) @ v.T
-    top = k_aa @ inv_sqrt
-    bottom = k_ab.T @ inv_sqrt
-    return np.vstack([top, bottom]), floored
+    keep = w > _EIG_FLOOR_REL * w[-1]
+    w, v = w[keep], v[:, keep]
+    root = np.sqrt(w)
+    return np.vstack([v * root, (k_ab.T @ v) / root]), int(keep.size - keep.sum())
 
 
 def nystrom_kernel(
@@ -209,7 +207,8 @@ def nystrom_kernel(
 
     p landmarks are drawn uniformly at random with the given seed; the
     spectrum shift needed for definiteness is applied to the landmark block
-    only, so the p = n case reproduces the dense shifted kernel.
+    only, so the p = n case reproduces the dense shifted kernel. G is n×r
+    with r ≤ p: landmark eigenpairs too small to invert are dropped.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
@@ -226,7 +225,7 @@ def nystrom_kernel(
     d_aa = pairwise_distances(t_land, measure, threads=threads)
     if gamma is None:
         gamma = 1.0 if p < 2 else select_gamma(d_aa)
-    k_aa = spectrum_shift(rbf_kernel(d_aa, gamma))
+    k_aa = _shifted_rbf(d_aa.values, gamma)
 
     if rest.size:
         t_rest = Tractogram(tuple(t[i] for i in rest))
@@ -235,15 +234,15 @@ def nystrom_kernel(
     else:
         k_ab = np.zeros((p, 0))
 
-    g_blocks, floored = _nystrom_factor(k_aa.dense_values, k_ab)
-    if floored > p / 2:
+    g_blocks, dropped = _nystrom_factor(k_aa.dense_values, k_ab)
+    if dropped > p / 2:
         warnings.warn(
-            f"{floored} of {p} landmark eigenvalues were floored; the "
+            f"{dropped} of {p} landmark eigenvalues were dropped; the "
             "approximation is rank deficient",
             RankDeficientWarning,
             stacklevel=2,
         )
-    g = np.empty((n, p))
+    g = np.empty((n, g_blocks.shape[1]))
     g[landmarks] = g_blocks[:p]
     g[rest] = g_blocks[p:]
     return _adopt(

@@ -55,6 +55,8 @@ _OUTER_COST_TOL = 1e-6
 _LAMBDA2_COEFF = 50.0 / 3.0
 # rows are only judged once at most this share of the labels moved in a sweep
 _SETTLED_SHARE = 0.005
+# widest spectral embedding the spectral start uses (it is also capped at m)
+_SPECTRAL_N_EIG = 10
 
 
 @dataclass(frozen=True)
@@ -306,9 +308,7 @@ def _lloyd(x: np.ndarray, m: int, rng, max_iter: int = 100, tol: float = 1e-9):
     return labels
 
 
-def spectral_init(
-    k: KernelMatrix, m: int, n_eig: int = 10, seed: int = 0
-) -> Labeling:
+def spectral_init(k: KernelMatrix, m: int, *, seed: int = 0) -> Labeling:
     """Spectral clustering of the kernel into m groups.
 
     Normalized-Laplacian embedding followed by seeded k-means. The
@@ -320,7 +320,7 @@ def spectral_init(
         raise ValueError("m must be >= 1")
     if m == 1:
         return Labeling(np.zeros(k.n, dtype=np.int64), m=1)
-    emb = spectral_embedding(k, n_eig=min(n_eig, m))
+    emb = spectral_embedding(k, n_eig=min(_SPECTRAL_N_EIG, m))
     rng = np.random.default_rng(seed)
     labels = _lloyd(emb, min(m, k.n), rng)
     return Labeling(labels, m=m)

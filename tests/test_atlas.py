@@ -184,6 +184,14 @@ def test_shape_disagreement_rejected(tmp_path, built):
         load_atlas(out)
 
 
+def test_non_object_parameters_rejected(tmp_path, built):
+    _, _, atlas, _ = built
+    out = save_atlas(atlas, tmp_path / "pop.atlas")
+    (out / "kernel.json").write_text("[1, 2]\n")
+    with pytest.raises(FormatError, match="JSON object"):
+        load_atlas(out)
+
+
 def test_not_an_atlas_dir(tmp_path):
     with pytest.raises(FormatError):
         load_atlas(tmp_path)

@@ -192,6 +192,15 @@ def test_cluster_nystrom_full_rank(workdir, tmp_path):
     assert ari_files(out / "labels.txt", workdir / "data" / "labels.txt") == 1.0
 
 
+def test_cluster_nystrom_coarse_landmarks(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "separated5", "--seed", "0", "--out", str(data)]) == 0
+    out = tmp_path / "fit"
+    assert main(["cluster", "--in", str(data / "tract.slb"), "--method", "ksc",
+                 "--m", "5", "--nystrom", "100", "--out", str(out)]) == 0
+    assert ari_files(out / "labels.txt", data / "labels.txt") >= 0.9
+
+
 def test_cluster_flag_conflicts(workdir, tmp_path, capsys):
     base = ["cluster", "--in", str(workdir / "data" / "tract.slb"),
             "--dist", str(workdir / "d.dm"), "--m", "2",

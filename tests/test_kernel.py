@@ -17,6 +17,8 @@ from tractsparse.kernel import (
     spectrum_shift,
 )
 from tractsparse.linalg import sym_eig
+from tractsparse.solvers import spectral_init
+from tractsparse.synth import preset_separated5
 
 
 def distance_matrix_from(values):
@@ -210,6 +212,23 @@ def test_nystrom_factor_low_rank_exact():
     g, floored = _nystrom_factor(k[:10, :10], k[:10, 10:])
     assert floored == 7
     assert np.linalg.norm(g @ g.T - k) <= 1e-6 * np.linalg.norm(k)
+
+
+@pytest.fixture(scope="module")
+def sep5_150_dense():
+    t, _ = preset_separated5(seed=1, total_count=150)
+    return t, kernel_from_distances(pairwise_distances(t, "mcp"))
+
+
+@pytest.mark.parametrize("p", [20, 40, 80])
+def test_nystrom_coarse_landmarks_stay_near_dense(sep5_150_dense, p):
+    # The shifted landmark block has a zero eigenvalue; the factor must drop
+    # it, since dividing the cross block by its root amplifies without bound.
+    t, dense = sep5_150_dense
+    k = nystrom_kernel(t, "mcp", gamma=dense.gamma, p=p, seed=2)
+    assert k.factor.shape[1] <= p
+    assert np.abs(k.dense() - dense.dense()).max() <= 2.0
+    spectral_init(k, 5)
 
 
 def test_nystrom_warns_on_rank_deficient_landmarks():
