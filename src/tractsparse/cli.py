@@ -50,7 +50,7 @@ from .io import (
     SLB_MAGIC,
 )
 from .kernel import kernel_from_distances, nystrom_kernel
-from .metrics import MetricReport, compute_metrics, silhouette
+from .metrics import compute_metrics
 from .model import Labeling, SolverConfig
 from .solvers import (
     DEFAULT_LAMBDA_L,
@@ -85,6 +85,13 @@ def _flag_values():
         raise UsageError(str(exc)) from exc
 
 
+def _seed(text):
+    """The type of every --seed: NumPy takes non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 class _Timer:
     def __init__(self):
         self.stages = {}
@@ -97,11 +104,16 @@ class _Timer:
 
 
 def _write_manifest(where, command, config, inputs, outputs, timer, extra=None):
-    """Manifest next to a file output, or inside a directory output."""
+    """Manifest next to a file output, or inside a directory output.
+
+    ``outputs`` None lists the output directory's files but the manifest.
+    """
     where = Path(where)
     path = where / "manifest.json" if where.is_dir() else where.with_name(
         where.name + ".manifest.json"
     )
+    if outputs is None:
+        outputs = sorted(p for p in where.iterdir() if p != path)
     manifest = {
         "tool": "tractsparse",
         "version": __version__,
@@ -195,6 +207,8 @@ def cmd_distances(args) -> int:
 
 
 def _build_kernel(args, tract, timer):
+    if not 1 <= args.m <= len(tract):
+        raise UsageError(f"--m must be in [1, {len(tract)}], got {args.m}")
     if args.nystrom is not None:
         if args.dist is not None:
             raise UsageError("--nystrom computes its own distances; drop --dist")
@@ -271,7 +285,6 @@ def cmd_cluster(args) -> int:
         else:
             (out / "kernel.km").unlink(missing_ok=True)
     row_norms = np.linalg.norm(result.assignment.w, axis=1)
-    outputs = sorted(p for p in out.iterdir() if p.name != "manifest.json")
     _write_manifest(
         out, "cluster",
         dict(
@@ -283,7 +296,7 @@ def cmd_cluster(args) -> int:
             },
         ),
         [Path(args.infile)] + ([Path(args.dist)] if args.dist else []),
-        outputs, timer,
+        None, timer,
         extra={
             "non_empty_clusters": int(np.sum(row_norms > 0)),
             "unassigned": int(result.unassigned.sum()),
@@ -305,23 +318,11 @@ def cmd_metrics(args) -> int:
         d = read_dm(args.dist) if args.dist else None
 
     with timer.stage("compute"):
-        if truth is not None:
-            report = compute_metrics(truth, pred, d)
-            payload_json = report.to_json()
-            payload_csv = report.csv_header() + "\n" + report.to_csv_row() + "\n"
-        else:
-            mean_sil, _ = silhouette(d, pred)
-            sizes = np.bincount(np.asarray(pred.labels), minlength=pred.m)
-            sizes = [int(v) for v in sizes if v > 0]
-            payload_json = json.dumps(
-                {"silhouette": mean_sil, "cluster_sizes": sizes},
-                indent=2, sort_keys=True,
-            )
-            report = MetricReport(
-                ri=None, ari=None, nari=None, silhouette=mean_sil,
-                cluster_sizes=tuple(sizes), cluster_silhouette=None,
-            )
-            payload_csv = report.csv_header() + "\n" + report.to_csv_row() + "\n"
+        report = compute_metrics(truth, pred, d)
+    payload_json = report.to_json() if truth is not None else json.dumps(
+        {"silhouette": report.silhouette, "cluster_sizes": report.cluster_sizes},
+        indent=2, sort_keys=True,
+    )
 
     if args.out is None:
         print(payload_json)
@@ -329,12 +330,10 @@ def cmd_metrics(args) -> int:
     out = Path(args.out)
     with timer.stage("write"):
         if out.suffix == ".csv":
-            _atomic_write_text(out, payload_csv)
+            _atomic_write_text(out, report.csv_header() + "\n" + report.to_csv_row() + "\n")
         else:
             _atomic_write_text(out, payload_json + "\n")
-    inputs = [Path(args.pred)]
-    inputs += [Path(args.truth)] if args.truth else []
-    inputs += [Path(args.dist)] if args.dist else []
+    inputs = [Path(p) for p in (args.pred, args.truth, args.dist) if p]
     _write_manifest(out, "metrics", {"format": out.suffix.lstrip(".") or "json"},
                     inputs, [out], timer)
     return 0
@@ -360,14 +359,13 @@ def cmd_atlas_build(args) -> int:
     with timer.stage("write"):
         save_atlas(atlas, out)
         write_labels(fit.labels, out / "training_labels.txt")
-    outputs = sorted(p for p in out.iterdir() if p.name != "manifest.json")
     _write_manifest(
         out, "atlas-build",
         {
-            "measure": args.measure, "sample": args.sample, "method": args.method,
+            "measure": args.measure, "sample": args.sample,
             "m": cfg.m, "s_max": cfg.s_max, "seed": args.seed, "threads": args.threads,
         },
-        [Path(p) for p in args.infile], outputs, timer,
+        [Path(p) for p in args.infile], None, timer,
         extra={
             # the stored count, as kernel.json records it, not the pooled sample
             "n_training": json.loads((out / "kernel.json").read_text())["n_training"],
@@ -395,13 +393,12 @@ def cmd_segment(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with timer.stage("write"):
         _write_assignment(seg.assignment.w, seg.labels, seg.unassigned, out)
-    outputs = sorted(p for p in out.iterdir() if p.name != "manifest.json")
     atlas_dir = Path(args.atlas)
     atlas_files = sorted(p for p in atlas_dir.iterdir() if p.is_file())
     _write_manifest(
         out, "segment",
         {"atlas": str(args.atlas), "s_max": args.smax, "threads": args.threads},
-        atlas_files + [Path(args.infile)], outputs, timer,
+        atlas_files + [Path(args.infile)], None, timer,
         extra={"unassigned": int(seg.unassigned.sum()), "m": atlas.m},
     )
     return 0
@@ -426,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic tractogram")
     p.add_argument("preset", help="preset name or bundle-spec JSON file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
@@ -459,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", choices=["spectral", "random"], default="spectral")
     p.add_argument("--ep-threshold", type=float, default=DEFAULT_ENDPOINT_THRESHOLD_MM,
                    help="endpoint graph threshold in mm (gksc-manifold)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--save-kernel", action="store_true",
                    help="also persist the kernel as kernel.km")
     p.add_argument("--out", required=True, help="output directory")
@@ -477,13 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", nargs="+", required=True)
     p.add_argument("--sample", type=int, default=None,
                    help="streamlines sampled per subject (default: all)")
-    p.add_argument("--method", choices=["ksc"], default="ksc")
     p.add_argument("--measure", choices=sorted(MEASURES), default="mcp")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--smax", type=int, default=3)
     p.add_argument("--lambda1", type=float, default=0.001)
     p.add_argument("--mu", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output atlas directory")
     add_threads(p)
     p.set_defaults(func=cmd_atlas_build)
@@ -510,10 +506,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if hasattr(args, "threads") and args.threads is None:
-            try:
+            with _flag_values():
                 args.threads = _resolve_threads(None)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ holding at most ``_TILE_POINTS`` points. For each pair of tiles one ``cdist``
 block serves both directions: minima over a column streamline's points give
 row -> column, minima over a row streamline's points give column -> row.
 The square matrix computes only the upper triangle of tile pairs, about
-n²/2 point blocks, and mirrors it.
+n²/2 point blocks, and mirrors it. The endpoint graph uses the same driver.
 
 Every entry equals the scalar ``dist_*`` call bit for bit. Minima and maxima
 are exact in any order; sums are not. A directed mean adds its point minima
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DegenerateStreamline, NonFiniteCoordinate
 from .model import Streamline, Tractogram, _adopt, _frozen_array, validate_tractogram
 
 MEASURES = ("mcp", "haus", "ep")
@@ -91,13 +90,6 @@ class EndpointGraph:
         return self.adjacency.shape[0]
 
 
-def _check_streamline(s: Streamline, name: str) -> None:
-    if len(s) < 2:
-        raise DegenerateStreamline(f"{name} has {len(s)} point(s)")
-    if not np.isfinite(s.points).all():
-        raise NonFiniteCoordinate(f"{name} has a non-finite coordinate")
-
-
 def _directed_mean(pa: np.ndarray, pb: np.ndarray) -> float:
     # Plain sequential accumulation, so the scalar path agrees bitwise with
     # the row-at-a-time matrix assembly (axis-0 reduce accumulates in order).
@@ -114,8 +106,7 @@ def dist_mcp(a: Streamline, b: Streamline) -> float:
     Each direction takes, for every point of one streamline, the distance to
     the nearest sampled point of the other, and averages those minima.
     """
-    _check_streamline(a, "first streamline")
-    _check_streamline(b, "second streamline")
+    validate_tractogram(Tractogram((a, b)))
     d_ab = _directed_mean(a.points, b.points)
     d_ba = _directed_mean(b.points, a.points)
     return float((d_ab + d_ba) / 2.0)
@@ -123,8 +114,7 @@ def dist_mcp(a: Streamline, b: Streamline) -> float:
 
 def dist_hausdorff(a: Streamline, b: Streamline) -> float:
     """Symmetric Hausdorff distance: the worst closest-point distance."""
-    _check_streamline(a, "first streamline")
-    _check_streamline(b, "second streamline")
+    validate_tractogram(Tractogram((a, b)))
     d_ab = cdist(a.points, b.points).min(axis=1).max()
     d_ba = cdist(b.points, a.points).min(axis=1).max()
     return float(max(d_ab, d_ba))
@@ -137,8 +127,7 @@ def dist_ep(a: Streamline, b: Streamline) -> float:
     streamlines sharing endpoints are at distance 0 regardless of interior
     shape.
     """
-    _check_streamline(a, "first streamline")
-    _check_streamline(b, "second streamline")
+    validate_tractogram(Tractogram((a, b)))
     m = cdist(a.endpoints, b.endpoints)
     d_ab = (m[0].min() + m[1].min()) / 2.0
     d_ba = (m[:, 0].min() + m[:, 1].min()) / 2.0
@@ -208,7 +197,7 @@ def _tiles(t: Tractogram, measure: str) -> list:
 
     A streamline longer than that is a tile of its own.
     """
-    pts = [s.endpoints if measure == "ep" else s.points for s in t]
+    pts = [s.endpoints if measure in ("ep", "near") else s.points for s in t]
     tiles, lo, size = [], 0, 0
     for i, p in enumerate(pts):
         if i > lo and size + p.shape[0] > _TILE_POINTS:
@@ -223,11 +212,14 @@ def _block(a: _Tile, b: _Tile, measure: str) -> np.ndarray:
     """Symmetrized distances between two tiles from one cdist block.
 
     Minima over b's points give every a -> b direction, minima over a's
-    points the reverse, so each point block serves both.
+    points the reverse, so each point block serves both. ``near``, private
+    to the endpoint graph, is each pair's smallest point distance.
     """
     d = cdist(a.points, b.points)
-    to_a = a.fold(np.minimum, d)  # streamline of a x point of b
     to_b = b.fold(np.minimum, d.T)  # streamline of b x point of a
+    if measure == "near":
+        return a.fold(np.minimum, to_b.T)
+    to_a = a.fold(np.minimum, d)  # streamline of a x point of b
     if measure == "haus":
         return np.maximum(
             a.fold(np.maximum, to_b.T), b.fold(np.maximum, to_a.T).T
@@ -320,25 +312,19 @@ def build_endpoint_graph(
     """Connect streamline pairs whose closest endpoints lie under a threshold.
 
     Edge rule: the minimum over the four endpoint pairings of (i, j) must be
-    strictly below ``threshold_mm``. Self-loops are never added.
+    strictly below ``threshold_mm``. Self-loops are never added. The minima
+    come from the distance tile driver over endpoints, exact in any order.
     """
     if threshold_mm <= 0:
         raise ValueError("threshold_mm must be positive")
     validate_tractogram(t)
-    n = len(t)
-    eps = np.concatenate([s.endpoints for s in t])
-    starts = np.arange(0, 2 * n, 2)
-
-    adj = np.zeros((n, n), dtype=np.uint8)
-    for i in range(n):
-        d = cdist(t[i].endpoints, eps)
-        nearest = np.minimum.reduceat(d, starts, axis=1).min(axis=0)
-        adj[i] = nearest < threshold_mm
+    adj = _assemble(_tiles(t, "near"), None, "near", 1) < threshold_mm
     np.fill_diagonal(adj, 0)
     return EndpointGraph(adjacency=adj, threshold_mm=float(threshold_mm))
 
 
 def graph_laplacian(g: EndpointGraph) -> np.ndarray:
     """Combinatorial Laplacian: degree matrix minus adjacency."""
-    adj = g.adjacency.astype(np.float64)
-    return np.diag(adj.sum(axis=1)) - adj
+    lap = np.subtract(0.0, g.adjacency, dtype=np.float64)
+    np.fill_diagonal(lap, g.degree)
+    return lap

@@ -38,18 +38,14 @@ def _pairs(x) -> int:
     return int((x * (x - 1) // 2).sum())
 
 
-def _check_lengths(a: np.ndarray, b: np.ndarray) -> None:
-    if a.size != b.size:
-        raise LengthMismatch(f"labelings have lengths {a.size} and {b.size}")
-
-
 def _pair_table(a, b):
     """Item-pair count and contingency table of two labelings.
 
     The table is None when there are fewer than two items, so no pairs.
     """
     a, b = _as_labels(a), _as_labels(b)
-    _check_lengths(a, b)
+    if a.size != b.size:
+        raise LengthMismatch(f"labelings have lengths {a.size} and {b.size}")
     total = a.size * (a.size - 1) // 2
     return total, _contingency(a, b) if total else None
 
@@ -190,9 +186,15 @@ def compute_metrics(truth, predicted, d: DistanceMatrix | None = None) -> Metric
     """Bundle all four metrics into one report.
 
     truth/predicted are Labelings or integer arrays; d enables silhouette.
+    With ``truth`` None the report leaves ``ri``, ``ari`` and ``nari`` None.
     """
-    tl, pl = _as_labels(truth), _as_labels(predicted)
-    _check_lengths(tl, pl)
+    pl = _as_labels(predicted)
+    ri = ari = nari = None
+    if truth is not None:
+        tl = _as_labels(truth)
+        ri, ari, nari = (
+            rand_index(tl, pl), adjusted_rand_index(tl, pl), normalized_ari(tl, pl)
+        )
     uniq, counts = np.unique(pl, return_counts=True)
     sil = None
     per_cluster = None
@@ -205,9 +207,7 @@ def compute_metrics(truth, predicted, d: DistanceMatrix | None = None) -> Metric
             float(per_item[pl == c].mean()) for c in uniq
         )
     return MetricReport(
-        ri=rand_index(tl, pl),
-        ari=adjusted_rand_index(tl, pl),
-        nari=normalized_ari(tl, pl),
+        ri=ri, ari=ari, nari=nari,
         silhouette=sil,
         cluster_sizes=tuple(int(c) for c in counts),
         cluster_silhouette=per_cluster,

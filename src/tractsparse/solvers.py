@@ -687,8 +687,8 @@ def _admm_w_step(solve, atk, mu, lam1_over_mu, cfg: SolverConfig, rms):
 
     ``solve`` maps a right-hand side to the W-update; it is built once per
     W-step, so any factorization it holds serves every inner step. Returns
-    the feasible iterate Z clipped at zero, the last RMS primal residual,
-    and whether that residual dropped below eps_primal within t_inner steps.
+    the feasible iterate Z (``shrink_l1`` output, so non-negative), the last
+    RMS primal residual, and whether it fell below eps_primal in t_inner steps.
     """
     z = np.zeros_like(atk)
     u = np.zeros_like(atk)
@@ -699,8 +699,8 @@ def _admm_w_step(solve, atk, mu, lam1_over_mu, cfg: SolverConfig, rms):
         u = u + (w - z)
         primal = float(np.linalg.norm(w - z)) / rms
         if primal < cfg.eps_primal:
-            return np.maximum(z, 0.0), primal, True
-    return np.maximum(z, 0.0), primal, False
+            return z, primal, True
+    return z, primal, False
 
 
 def _unit_atoms(k: KernelMatrix, a: np.ndarray):

@@ -426,12 +426,22 @@ def test_bad_flag_value_is_usage_error(workdir, atlas_dir, tmp_path, capsys, arg
     (["cluster", "--method", "ksc", "--m", "2", "--nystrom", "201"], "--nystrom"),
     (["atlas-build", "--m", "2", "--sample", "0"], "--sample"),
     (["atlas-build", "--m", "2", "--sample", "-1"], "--sample"),
+    (["cluster", "--method", "ksc", "--m", "2", "--seed", "-3"], "--seed"),
+    (["atlas-build", "--m", "2", "--seed", "-1"], "--seed"),
+    (["cluster", "--method", "ksc", "--m", "201"], "--m"),
 ], ids=["nystrom-0", "nystrom-negative", "nystrom-above-n", "sample-0",
-        "sample-negative"])
+        "sample-negative", "cluster-seed-negative", "atlas-seed-negative",
+        "m-above-n"])
 def test_count_flag_out_of_range_names_the_flag(workdir, tmp_path, capsys, argv, flag):
     rc = main(argv + ["--in", str(workdir / "data" / "tract.slb"),
                       "--out", str(tmp_path / "x")])
     assert flag in capsys.readouterr().err
+    assert rc == 2
+
+
+def test_synth_negative_seed_names_the_flag(tmp_path, capsys):
+    rc = main(["synth", "crossing2", "--seed", "-1", "--out", str(tmp_path / "x")])
+    assert "--seed" in capsys.readouterr().err
     assert rc == 2
 
 

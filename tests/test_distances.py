@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from oracles import NAIVE_DISTANCES, naive_ep, naive_hausdorff, naive_mcp
 
@@ -17,6 +18,7 @@ from tractsparse import (
     graph_laplacian,
     pairwise_distances,
 )
+from tractsparse import distances, synth
 from tractsparse.errors import (
     DegenerateStreamline,
     EmptyTractogram,
@@ -340,6 +342,23 @@ def test_endpoint_graph_two_bundles_density():
     across = g.adjacency[:6, 6:].sum()
     assert within > 0
     assert across == 0
+
+
+@pytest.mark.parametrize("threshold", [3.0, 7.0, 15.0])
+def test_endpoint_graph_multi_tile_matches_brute_force(threshold):
+    t, _ = synth.preset_separated5(seed=0, total_count=600)
+    assert 2 * len(t) > distances._TILE_POINTS  # several endpoint tiles
+    ends = np.stack([s.endpoints for s in t])
+    pairings = cdist(ends.reshape(-1, 3), ends.reshape(-1, 3))
+    nearest = pairings.reshape(len(t), 2, len(t), 2).min(axis=(1, 3))
+    want = (nearest < threshold).astype(np.uint8)
+    np.fill_diagonal(want, 0)
+    g = build_endpoint_graph(t, threshold)
+    assert g.adjacency.tobytes() == want.tobytes()
+    lap = graph_laplacian(g)
+    expected = np.diag(g.degree) - want
+    assert lap.dtype == np.float64
+    assert lap.tobytes() == expected.astype(np.float64).tobytes()
 
 
 def test_endpoint_graph_rejects_bad_threshold():

@@ -242,6 +242,17 @@ def test_compute_metrics_without_distances():
     assert json.loads(report.to_json())["silhouette"] is None
 
 
+def test_compute_metrics_without_truth():
+    rng = np.random.default_rng(12)
+    d = random_distance_matrix(rng, 12)
+    predicted = np.array([2] * 4 + [0] * 3 + [1] * 5)
+    report = compute_metrics(None, predicted, d)
+    assert report.ri is None and report.ari is None and report.nari is None
+    assert report.silhouette == silhouette(d, predicted)[0]
+    assert report.cluster_sizes == (3, 5, 4)
+    assert report.to_csv_row().startswith(",,,")
+
+
 def test_compute_metrics_single_cluster_flag():
     truth = np.array([0, 0, 1, 1])
     predicted = np.zeros(4, dtype=int)
