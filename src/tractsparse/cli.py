@@ -51,11 +51,10 @@ from .io import (
 )
 from .kernel import kernel_from_distances, nystrom_kernel
 from .metrics import compute_metrics
-from .model import Labeling, SolverConfig
+from .model import SolverConfig
 from .solvers import (
     DEFAULT_LAMBDA_L,
     gksc_fit,
-    kkm_assign,
     kkm_fit,
     ksc_fit,
     random_selection_init,
@@ -258,10 +257,7 @@ def cmd_cluster(args) -> int:
 
     with timer.stage("init"):
         if args.init == "random":
-            selection = random_selection_init(k, m=args.m, seed=args.seed)
-            init = selection
-            if args.method == "kkm":
-                init = Labeling(kkm_assign(k, selection), m=args.m)
+            init = random_selection_init(k, m=args.m, seed=args.seed)
         else:
             init = spectral_init(k, m=args.m, seed=args.seed)
 
@@ -350,6 +346,11 @@ def cmd_atlas_build(args) -> int:
         )
     with timer.stage("read"):
         subjects = [_read_tract(p) for p in args.infile]
+    # build_atlas pools every streamline of a subject, or a sample of --sample
+    pooled = sum(len(t) if args.sample is None else min(args.sample, len(t))
+                 for t in subjects)
+    if args.m > pooled:
+        raise UsageError(f"--m must be in [1, {pooled}], got {args.m}")
     with timer.stage("fit"):
         atlas, fit = build_atlas(
             subjects, cfg, measure=args.measure,

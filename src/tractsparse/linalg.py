@@ -11,6 +11,7 @@ tridiagonal reduction.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,13 @@ _LANCZOS_MIN_N = 900
 # 2.5× slower, about even over the pipeline on full kernels. At 60 the shift
 # restarted erratically, up to 630 products.
 _LANCZOS_NCV = 40
+# SciPy's C ARPACK draws each restart vector from eigsh's ``rng`` (from
+# operating-system entropy at None), so every solve passes a fixed seed. An
+# eigsh without ``rng`` runs the older Fortran ARPACK, whose own restart seed
+# is fixed per process but carries over from one call to the next.
+_EIGSH_RNG = (
+    {"rng": 0} if "rng" in inspect.signature(scipy.sparse.linalg.eigsh).parameters else {}
+)
 
 
 # Elements per block in the blockwise passes over a square matrix (512 KiB
@@ -101,8 +109,10 @@ def sym_eig(a: np.ndarray, count: int | None = None):
     With ``count`` set, only the ``count`` smallest eigenpairs are computed.
     For n ≥ ``_LANCZOS_MIN_N`` and at most ``_LANCZOS_NCV // 2`` pairs they
     come from ARPACK's implicitly restarted Lanczos, started from a fixed
-    vector so the result is deterministic; otherwise from LAPACK's subset
-    driver. The full decomposition (``count=None``) is always LAPACK.
+    vector, with restart vectors from a fixed seed where SciPy takes one
+    (``_EIGSH_RNG``), so the same matrix gives the same bits on every call;
+    otherwise from LAPACK's subset driver. The full decomposition
+    (``count=None``) is always LAPACK.
 
     Returns
     -------
@@ -118,7 +128,7 @@ def sym_eig(a: np.ndarray, count: int | None = None):
         try:
             # ARPACK's dseupd returns the values in ascending order.
             return scipy.sparse.linalg.eigsh(
-                a, k=count, which="SA", v0=v0, ncv=_LANCZOS_NCV
+                a, k=count, which="SA", v0=v0, ncv=_LANCZOS_NCV, **_EIGSH_RNG
             )
         except scipy.sparse.linalg.ArpackError as exc:
             raise EigenFailure(f"symmetric eigensolver failed: {exc}") from exc

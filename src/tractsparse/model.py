@@ -119,11 +119,13 @@ class SolverConfig:
 
     ``t_outer`` left at None means each solver applies its own default
     (100 sweeps for kernel k-means, 20 for the sparse solver, 30 for the
-    ADMM solvers). ``lambda2`` weighs the row-group prior of the ADMM
-    solver: a dictionary row stays live while it holds at least
-    2·λ2·√(m/n) of its members' explained energy, so larger values keep
-    fewer rows and 0 turns the prior off. At None it takes the scale-aware
-    default described in :func:`tractsparse.solvers.default_lambda2`.
+    ADMM solvers). A set ``t_outer``, like ``t_inner``, must be at least 1,
+    since a fit without a sweep returns no clusters. ``lambda2`` weighs the
+    row-group prior of the ADMM solver: a dictionary row stays live while
+    it holds at least 2·λ2·√(m/n) of its members' explained energy, so
+    larger values keep fewer rows and 0 turns the prior off. At None it
+    takes the scale-aware default described in
+    :func:`tractsparse.solvers.default_lambda2`.
     """
 
     m: int
@@ -136,7 +138,6 @@ class SolverConfig:
     t_outer: int | None = None
     eps_primal: float = 1e-4
     seed: int = 0
-    ridge: float = 1e-8
 
     def __post_init__(self):
         if self.m < 1:
@@ -151,8 +152,8 @@ class SolverConfig:
             raise ValueError("trade-off weights must be non-negative")
         if self.lambda2 is not None and self.lambda2 < 0:
             raise ValueError("trade-off weights must be non-negative")
-        if self.ridge < 0:
-            raise ValueError("ridge must be non-negative")
+        if self.t_inner < 1 or (self.t_outer is not None and self.t_outer < 1):
+            raise ValueError("sweep budgets t_inner and t_outer must be >= 1")
 
 
 def validate_tractogram(t: Tractogram) -> None:

@@ -337,12 +337,22 @@ def random_selection_init(k: KernelMatrix, m: int, seed: int = 0) -> Dictionary:
     return Dictionary(a)
 
 
+def _start_budget(k: KernelMatrix, cfg: SolverConfig, init, sweeps: int) -> int:
+    """A fit's sweep budget, once its start is checked against k and cfg.
+
+    ``init``, a Labeling or a Dictionary, must have cfg.m clusters over k.n
+    streamlines. The budget is cfg.t_outer, or ``sweeps`` when that is None.
+    """
+    if init.m != cfg.m:
+        raise ValueError(f"init has m={init.m}, config wants m={cfg.m}")
+    size = init.n if isinstance(init, Dictionary) else len(init)
+    if size != k.n:
+        raise ValueError(f"init covers {size} streamlines, the kernel {k.n}")
+    return cfg.t_outer if cfg.t_outer is not None else sweeps
+
+
 def _init_dictionary(init, k: KernelMatrix) -> Dictionary:
-    if isinstance(init, Dictionary):
-        if init.n != k.n:
-            raise ValueError(f"init dictionary has {init.n} rows for {k.n} streamlines")
-        return init
-    return init_dictionary_from_labels(init, k)
+    return init if isinstance(init, Dictionary) else init_dictionary_from_labels(init, k)
 
 
 def init_dictionary_from_labels(labels: Labeling, k: KernelMatrix) -> Dictionary:
@@ -407,29 +417,24 @@ def _reseed_empty(labels, scores, kdiag, m):
     return labels
 
 
-def kkm_fit(k: KernelMatrix, cfg: SolverConfig, init: Labeling) -> FitResult:
+def kkm_fit(k: KernelMatrix, cfg: SolverConfig, init: Labeling | Dictionary) -> FitResult:
     """Kernel k-means: alternate nearest-prototype labels and mean prototypes.
 
-    Stops as soon as a sweep leaves the labels unchanged. Prototypes that
-    lose all members are re-seeded with the currently worst-reconstructed
-    streamline.
+    ``init`` may be a labeling or a dictionary, whose nearest-prototype
+    labels (`kkm_assign`) start the fit. Stops as soon as a sweep leaves
+    the labels unchanged. Prototypes that lose all members are re-seeded
+    with the currently worst-reconstructed streamline.
     """
-    n = k.n
-    if len(init.labels) != n:
-        raise ValueError(f"{len(init.labels)} init labels for {n} streamlines")
-    if init.m != cfg.m:
-        raise ValueError(f"init has m={init.m}, config wants m={cfg.m}")
+    t_outer = _start_budget(k, cfg, init, _KKM_SWEEPS)
     m = cfg.m
-    labels = np.asarray(init.labels).copy()
+    labels = kkm_assign(k, init) if isinstance(init, Dictionary) else init.labels
     w = _one_hot(labels, m)
-    a = kkm_dictionary(w, cfg.ridge)
+    a = kkm_dictionary(w)
     atk, atka = _atk_atka(k, a.a)
     kdiag = k.diagonal()
     k_trace = float(kdiag.sum())
     trace = [_cost(k_trace, atk, atka, w)]
-    t_outer = cfg.t_outer if cfg.t_outer is not None else _KKM_SWEEPS
     converged = False
-    iterations = 0
     for iterations in range(1, t_outer + 1):
         scores = np.diagonal(atka)[:, None] - 2.0 * atk
         new_labels = np.argmin(scores, axis=0)
@@ -439,7 +444,7 @@ def kkm_fit(k: KernelMatrix, cfg: SolverConfig, init: Labeling) -> FitResult:
             break
         labels = new_labels
         w = _one_hot(labels, m)
-        a = kkm_dictionary(w, cfg.ridge)
+        a = kkm_dictionary(w)
         # the next sweep assigns against this A, so AᵀK and AᵀKA serve both
         atk, atka = _atk_atka(k, a.a)
         trace.append(_cost(k_trace, atk, atka, w))
@@ -627,16 +632,11 @@ def ksc_fit(k: KernelMatrix, cfg: SolverConfig, init: Labeling | Dictionary) -> 
     hard labels repeat. ``init`` may be a labeling (whose per-cluster
     medoids seed the dictionary) or a ready-made selection dictionary.
     """
-    n = k.n
-    if init.m != cfg.m:
-        raise ValueError(f"init has m={init.m}, config wants m={cfg.m}")
-    t_outer = cfg.t_outer if cfg.t_outer is not None else _KSC_SWEEPS
+    t_outer = _start_budget(k, cfg, init, _KSC_SWEEPS)
     a = _init_dictionary(init, k)
-    w = np.zeros((cfg.m, n))
     trace = []
     prev_labels = None
     converged = False
-    iterations = 0
     k_trace = k.trace()
     atk, atka = _atk_atka(k, a.a)
     for iterations in range(1, t_outer + 1):
@@ -759,22 +759,19 @@ def _label_vector(z: np.ndarray, live: np.ndarray) -> np.ndarray:
     return np.where(unassigned, -1, labeling.labels)
 
 
-def _group_fit(k: KernelMatrix, cfg: SolverConfig, init, lam2: float) -> FitResult:
+def _group_fit(k: KernelMatrix, cfg: SolverConfig, init, lam2, t_outer) -> FitResult:
     """gksc_fit under the row-group prior; see its docstring."""
     n, m, mu = k.n, cfg.m, cfg.mu
     bar = 2.0 * lam2 * np.sqrt(m / n)
     lam1_over_mu = cfg.lambda1 / mu
-    t_outer = cfg.t_outer if cfg.t_outer is not None else _ADMM_SWEEPS
     k_trace = k.trace()
     rms = np.sqrt(m * n)
     live = ~_empty_flags(init, m)
     if isinstance(init, Dictionary):
-        a, atk, atka = _unit_atoms(k, _init_dictionary(init, k).a)
+        a, atk, atka = _unit_atoms(k, init.a)
         labels = None
     else:
         labels = np.asarray(init.labels)
-        if labels.size != n:
-            raise ValueError(f"{labels.size} labels for {n} streamlines")
         a, atk, atka = _mean_atoms(k, labels, live)
 
     def fit_w():
@@ -786,12 +783,10 @@ def _group_fit(k: KernelMatrix, cfg: SolverConfig, init, lam2: float) -> FitResu
         )
         return z, primal, inner_ok
 
-    z = np.zeros((m, n))
     cost_trace = []
     primal_trace = []
     prev_cost = None
     converged = False
-    iterations = 0
     for iterations in range(1, t_outer + 1):
         if iterations > 1:
             a, atk, atka = _mean_atoms(k, labels, live, a)
@@ -868,11 +863,8 @@ def gksc_fit(
     unchanged or the cost stable; ``converged`` then reports whether the
     inner loop met eps_primal.
     """
-    n = k.n
-    if init.m != cfg.m:
-        raise ValueError(f"init has m={init.m}, config wants m={cfg.m}")
-    m = cfg.m
-    mu = cfg.mu
+    t_outer = _start_budget(k, cfg, init, _ADMM_SWEEPS)
+    n, m, mu = k.n, cfg.m, cfg.mu
     manifold = laplacian is not None
     if manifold:
         if cfg.lambda_l <= 0:
@@ -884,17 +876,14 @@ def gksc_fit(
     else:
         lam2 = cfg.lambda2 if cfg.lambda2 is not None else default_lambda2(mu, n, m)
         if lam2 > 0.0:
-            return _group_fit(k, cfg, init, lam2)
+            return _group_fit(k, cfg, init, lam2, t_outer)
     lam1_over_mu = cfg.lambda1 / mu
-    t_outer = cfg.t_outer if cfg.t_outer is not None else _ADMM_SWEEPS
 
     a = _init_dictionary(init, k)
-    z = np.zeros((m, n))
     cost_trace = []
     primal_trace = []
     prev_cost = None
     converged = False
-    iterations = 0
     rms = np.sqrt(m * n)
     k_trace = k.trace()
     atk, atka = _atk_atka(k, a.a)

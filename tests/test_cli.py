@@ -160,7 +160,7 @@ def test_cluster_random_init(workdir, tmp_path):
     # a random start has no quality guarantee on any particular seed, so
     # only the wiring is checked: it runs, labels everything, and records
     # the init choice in the manifest
-    for method in ("kkm", "ksc"):
+    for method in ("kkm", "ksc", "gksc", "gksc-manifold"):
         out = tmp_path / f"fit_{method}"
         assert main(["cluster", "--in", str(workdir / "data" / "tract.slb"),
                      "--dist", str(workdir / "d.dm"), "--method", method,
@@ -170,6 +170,21 @@ def test_cluster_random_init(workdir, tmp_path):
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["init"] == "random"
         assert manifest["result"]["non_empty_clusters"] >= 1
+
+
+def test_cluster_dissolving_every_row_lists_every_streamline_unassigned(
+    workdir, tmp_path
+):
+    # at this group weight no row is worth its price, so all are retired
+    out = tmp_path / "fit"
+    assert main(["cluster", "--in", str(workdir / "data" / "tract.slb"),
+                 "--dist", str(workdir / "d.dm"), "--method", "gksc",
+                 "--m", "2", "--lambda2", "1e6", "--out", str(out)]) == 0
+    listed = (out / "unassigned.txt").read_text().split()
+    assert listed == [str(i) for i in range(200)]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["result"]["unassigned"] == 200
+    assert "unassigned.txt" in manifest["outputs"]
 
 
 def test_cluster_manifold_runs(workdir, tmp_path):
@@ -429,9 +444,11 @@ def test_bad_flag_value_is_usage_error(workdir, atlas_dir, tmp_path, capsys, arg
     (["cluster", "--method", "ksc", "--m", "2", "--seed", "-3"], "--seed"),
     (["atlas-build", "--m", "2", "--seed", "-1"], "--seed"),
     (["cluster", "--method", "ksc", "--m", "201"], "--m"),
+    (["atlas-build", "--m", "500"], "--m"),
+    (["atlas-build", "--m", "150", "--sample", "50"], "--m"),
 ], ids=["nystrom-0", "nystrom-negative", "nystrom-above-n", "sample-0",
         "sample-negative", "cluster-seed-negative", "atlas-seed-negative",
-        "m-above-n"])
+        "m-above-n", "atlas-m-above-pool", "atlas-m-above-sampled-pool"])
 def test_count_flag_out_of_range_names_the_flag(workdir, tmp_path, capsys, argv, flag):
     rc = main(argv + ["--in", str(workdir / "data" / "tract.slb"),
                       "--out", str(tmp_path / "x")])

@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from tractsparse import linalg
+from tractsparse import linalg, synth
+from tractsparse.distances import pairwise_distances
 from tractsparse.errors import EigenFailure, SingularAfterRidge, SingularPencil
 from tractsparse.linalg import (
     nnls,
@@ -15,6 +16,7 @@ from tractsparse.linalg import (
     sylvester_solve,
     sym_eig,
 )
+from tractsparse.kernel import rbf_kernel, select_gamma
 
 
 @pytest.mark.parametrize("n", [2, 7, 600])
@@ -159,6 +161,20 @@ def test_sym_eig_lanczos_failure_is_eigen_failure(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh", refuse)  # no LAPACK fallback
     with pytest.raises(EigenFailure, match="forced non-convergence"):
         sym_eig(low_end_separated(linalg._LANCZOS_MIN_N, seed=0), count=1)
+
+
+def test_sym_eig_lanczos_repeats_its_bits_when_arpack_restarts():
+    # On this kernel ARPACK asks for a fresh restart vector during the
+    # one-pair solve; unseeded, each call drew a different one and λ_min
+    # moved in its last bits from call to call.
+    tract, _ = synth.preset_separated5(seed=7, total_count=2000)
+    d = pairwise_distances(tract, "mcp")
+    values = rbf_kernel(d, select_gamma(d)).dense_values
+    w0, v0 = sym_eig(values, count=1)
+    for _ in range(2):
+        w, v = sym_eig(values, count=1)
+        assert w.tobytes() == w0.tobytes()
+        assert v.tobytes() == v0.tobytes()
 
 
 # --- nnls ------------------------------------------------------------------

@@ -73,3 +73,18 @@ def test_solver_config_validation():
         SolverConfig(m=2, mu=0.0)
     with pytest.raises(ValueError):
         SolverConfig(m=2, lambda1=-0.1)
+
+
+@pytest.mark.parametrize("budget", [
+    {"t_outer": 0}, {"t_outer": -3}, {"t_inner": 0}, {"t_inner": -1},
+], ids=["t_outer-0", "t_outer-negative", "t_inner-0", "t_inner-negative"])
+def test_solver_config_rejects_budgets_without_a_sweep(budget):
+    # a fit with no sweep leaves every streamline unassigned
+    with pytest.raises(ValueError, match="sweep budgets"):
+        SolverConfig(m=2, **budget)
+
+
+def test_solver_config_accepts_default_and_one_sweep_budgets():
+    assert SolverConfig(m=2).t_outer is None
+    cfg = SolverConfig(m=2, t_outer=1, t_inner=1)
+    assert (cfg.t_outer, cfg.t_inner) == (1, 1)

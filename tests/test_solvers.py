@@ -369,6 +369,46 @@ def test_kkm_rejects_mismatched_init():
         kkm_fit(k, SolverConfig(m=3), Labeling(np.zeros(4, dtype=int), m=2))
 
 
+def test_kkm_dictionary_start_is_its_nearest_prototype_labels():
+    rng = np.random.default_rng(14)
+    x, _ = axis_blobs(rng)
+    k = rbf_from_points(x)
+    cfg = SolverConfig(m=3)
+    d = random_selection_init(k, 3, seed=2)
+    got = kkm_fit(k, cfg, d)
+    want = kkm_fit(k, cfg, Labeling(kkm_assign(k, d), m=3))
+    assert np.array_equal(got.labels.labels, want.labels.labels)
+    assert got.dictionary.a.tobytes() == want.dictionary.a.tobytes()
+    assert got.assignment.w.tobytes() == want.assignment.w.tobytes()
+    assert got.cost_trace == want.cost_trace
+    assert got.iterations == want.iterations
+
+
+def _fit_variants():
+    """Each fit as f(k, cfg, init), with the config fields it needs."""
+    def manifold(k, cfg, init):
+        return gksc_fit(k, cfg, init, laplacian=np.zeros((k.n, k.n)))
+    return [
+        (kkm_fit, {}),
+        (ksc_fit, {}),
+        (gksc_fit, {}),
+        (gksc_fit, {"lambda2": 0.0}),
+        (manifold, {"lambda2": 0.0, "lambda_l": 0.01}),
+    ]
+
+
+@pytest.mark.parametrize("fit, fields", _fit_variants(),
+                         ids=["kkm", "ksc", "gksc", "gksc-l1", "gksc-manifold"])
+@pytest.mark.parametrize("size", [11, 13])
+def test_every_fit_rejects_a_start_of_the_wrong_size(fit, fields, size):
+    k = rbf_from_points(axis_blobs(np.random.default_rng(15), per=4)[0])
+    cfg = SolverConfig(m=2, **fields)
+    starts = [Labeling(np.arange(size) % 2, m=2), Dictionary(np.eye(size)[:, :2])]
+    for init in starts:
+        with pytest.raises(ValueError, match="init covers"):
+            fit(k, cfg, init)
+
+
 def test_kkm_dictionary_is_normalized_indicator():
     w = np.zeros((2, 5))
     w[0, :3] = 1.0
