@@ -137,17 +137,18 @@ def segment_with_atlas(
     one-non-zero columns W is bitwise the same as with the full set. For a
     hand-built dictionary with several non-zeros per column the shorter sums
     may differ in the last bits.
+
+    The new streamlines are validated once, by `cross_distances`, before
+    any distance is computed.
     """
     if measure is not None and measure != atlas.measure:
         raise AtlasVersionMismatch(
             f"atlas was built with measure {atlas.measure!r}, not {measure!r}"
         )
-    validate_tractogram(new_t)
-
-    d_train = pairwise_distances(atlas.training, atlas.measure, threads=threads)
-    k_train = _shifted_rbf(d_train.values, atlas.gamma, atlas.shift)
     d_cross = cross_distances(atlas.training, new_t, atlas.measure, threads=threads)
     cross = _rbf_values(d_cross, atlas.gamma)
+    d_train = pairwise_distances(atlas.training, atlas.measure, threads=threads)
+    k_train = _shifted_rbf(d_train.values, atlas.gamma, atlas.shift)
     assignment, labels, unassigned = segment_with_dictionary(
         k_train, atlas.dictionary, cross, atlas.s_max
     )

@@ -91,6 +91,13 @@ def _seed(text):
     return int(text)
 
 
+def _threads(text):
+    """The type of every --threads: a worker count of at least one."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 class _Timer:
     def __init__(self):
         self.stages = {}
@@ -417,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_threads(p):
         p.add_argument(
-            "--threads", type=int, default=None,
+            "--threads", type=_threads, default=None,
             help="worker threads for distance computation "
                  "(default: $TRACTSPARSE_THREADS or 1)",
         )

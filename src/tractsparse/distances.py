@@ -7,12 +7,17 @@ projection onto a segment):
 * ``haus`` -- Hausdorff, symmetrized by taking the larger direction
 * ``ep``   -- endpoints only, averaged over endpoints and both directions
 
-A distance matrix is assembled from tiles, runs of consecutive streamlines
-holding at most ``_TILE_POINTS`` points. For each pair of tiles one ``cdist``
-block serves both directions: minima over a column streamline's points give
-row -> column, minima over a row streamline's points give column -> row.
-The square matrix computes only the upper triangle of tile pairs, about
-n²/2 point blocks, and mirrors it. The endpoint graph uses the same driver.
+A distance matrix is assembled from tiles, runs of consecutive streamlines.
+For each pair of tiles one ``cdist`` block serves both directions: minima
+over a column streamline's points give row -> column, minima over a row
+streamline's points give column -> row. Every block holds at most
+``_TILE_POINTS``² point pairs (2 MiB). The square matrix cuts tiles of at
+most ``_TILE_POINTS`` points, computes only the upper triangle of tile
+pairs, about n²/2 point blocks, and mirrors it. A cross block against a
+small set, such as an atlas's atom streamlines, widens the other side's
+tiles to fill the same budget, so it pays the per-tile cost a few times
+instead of once per ``_TILE_POINTS`` points. The endpoint graph uses the
+same driver.
 
 Every entry equals the scalar ``dist_*`` call bit for bit. Minima and maxima
 are exact in any order; sums are not. A directed mean adds its point minima
@@ -137,21 +142,24 @@ def dist_ep(a: Streamline, b: Streamline) -> float:
 def _resolve_threads(threads: int | None) -> int:
     """Worker count: ``threads``, else $TRACTSPARSE_THREADS, else 1.
 
-    An empty variable counts as unset; a non-integer one raises ValueError
-    naming it.
+    An empty variable counts as unset. A count below 1, or a variable that
+    is not an integer, raises ValueError naming where it came from.
     """
-    if threads is None:
-        raw = os.environ.get("TRACTSPARSE_THREADS") or "1"
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"TRACTSPARSE_THREADS={raw!r} is not an integer"
-            ) from None
-    return max(1, int(threads))
+    if threads is not None:
+        if threads < 1:
+            raise ValueError(f"threads must be a positive integer, got {threads}")
+        return int(threads)
+    raw = os.environ.get("TRACTSPARSE_THREADS") or "1"
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"TRACTSPARSE_THREADS={raw!r} is not a positive integer")
+    return threads
 
 
-# Points per tile. The cdist block of two tiles holds at most this many
+# Points per square-matrix tile. No cdist block holds more than this many
 # points squared (2 MiB), so temporaries keep one bounded size whatever n is
 # and the allocator reuses their pages instead of mapping fresh ones.
 _TILE_POINTS = 512
@@ -192,20 +200,45 @@ class _Tile:
         return acc
 
 
-def _tiles(t: Tractogram, measure: str) -> list:
-    """Cut a tractogram into tiles of at most ``_TILE_POINTS`` points.
+def _runs(sizes: list, limit: int) -> list:
+    """Bounds (lo, hi) of runs of consecutive streamlines of at most ``limit`` points.
 
-    A streamline longer than that is a tile of its own.
+    A streamline longer than that is a run of its own.
     """
-    pts = [s.endpoints if measure in ("ep", "near") else s.points for s in t]
-    tiles, lo, size = [], 0, 0
-    for i, p in enumerate(pts):
-        if i > lo and size + p.shape[0] > _TILE_POINTS:
-            tiles.append(_Tile(pts[lo:i], lo))
+    runs, lo, size = [], 0, 0
+    for i, k in enumerate(sizes):
+        if i > lo and size + k > limit:
+            runs.append((lo, i))
             lo, size = i, 0
-        size += p.shape[0]
-    tiles.append(_Tile(pts[lo:], lo))
-    return tiles
+        size += k
+    runs.append((lo, len(sizes)))
+    return runs
+
+
+def _tiles(t: Tractogram, measure: str, limit: int = _TILE_POINTS) -> list:
+    """Cut a tractogram into tiles of at most ``limit`` points (see `_runs`)."""
+    pts = [s.endpoints if measure in ("ep", "near") else s.points for s in t]
+    sizes = [p.shape[0] for p in pts]
+    return [_Tile(pts[lo:hi], lo) for lo, hi in _runs(sizes, limit)]
+
+
+def _cross_tiles(a: Tractogram, b: Tractogram, measure: str) -> tuple[list, list]:
+    """Tiles of a and b whose cdist blocks hold at most ``_TILE_POINTS``² pairs.
+
+    Cut at ``_TILE_POINTS`` points, the side with the narrower widest tile
+    keeps that cut. The other side is cut at the budget over that width,
+    never below ``_TILE_POINTS``: against a small set its tiles widen until
+    each block fills the budget, and against a side that holds a full
+    ``_TILE_POINTS``-point tile both keep the square matrix's cut.
+    """
+    widest = []
+    for t in (a, b):
+        sizes = [2] * len(t) if measure == "ep" else [len(s) for s in t]
+        widest.append(max(sum(sizes[lo:hi]) for lo, hi in _runs(sizes, _TILE_POINTS)))
+    wide = max(_TILE_POINTS, _TILE_POINTS**2 // min(widest))
+    if widest[0] <= widest[1]:
+        return _tiles(a, measure), _tiles(b, measure, wide)
+    return _tiles(a, measure, wide), _tiles(b, measure)
 
 
 def _block(a: _Tile, b: _Tile, measure: str) -> np.ndarray:
@@ -295,15 +328,17 @@ def cross_distances(
 
     Entry (i, j) is the same symmetrized measure ``pairwise_distances`` uses,
     so ``cross_distances(t, t)`` equals the square matrix bit for bit. One
-    pass over the a × b point blocks serves both directions.
+    pass over the a × b point blocks serves both directions. Blocks are
+    bounded by point pairs, not by points per side (see `_cross_tiles`), so
+    against m streamlines of P points in all it runs about one block per
+    ``_TILE_POINTS``²/P points of the other side.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
     validate_tractogram(a)
     validate_tractogram(b)
-    return _assemble(
-        _tiles(a, measure), _tiles(b, measure), measure, _resolve_threads(threads)
-    )
+    rows, cols = _cross_tiles(a, b, measure)
+    return _assemble(rows, cols, measure, _resolve_threads(threads))
 
 
 def build_endpoint_graph(

@@ -208,17 +208,33 @@ def _read_binary(path, magic: bytes):
 
 
 def read_slb(path) -> Tractogram:
+    """Read a ``.slb`` file: one read of the payload, then a view per streamline.
+
+    The payload is viewed as 8-byte words, and each streamline's points are
+    a read-only slice of them, handed to the `Streamline` without a copy.
+    Each point-count header is checked against the words left, as
+    `_Reader` checks every read against the bytes left.
+    """
     with _read_binary(path, SLB_MAGIC) as r:
         count = r.u64()
-        streamlines = []
-        for _ in range(count):
-            npts = r.u64()
-            pts = r.f64_array(3 * npts, shape=(npts, 3))
-            try:
-                streamlines.append(Streamline(pts))
-            except ValueError as exc:
-                raise FormatError(f"{path}: {exc}") from exc
-        r.done()
+        payload = r.take(r.left)
+    words = np.frombuffer(payload, dtype="<f8", count=len(payload) // 8)
+    at, streamlines = 0, []
+    for _ in range(count):
+        if at == words.size:
+            raise FormatError(f"{path}: truncated (wanted 8 more bytes)")
+        (npts,) = _U64.unpack_from(payload, 8 * at)
+        if npts > _SANE_COUNT:
+            raise FormatError(f"{path}: implausible count {npts}")
+        at += 1
+        if at + 3 * npts > words.size:
+            raise FormatError(f"{path}: truncated (wanted {24 * npts} more bytes)")
+        streamlines.append(
+            _adopt(Streamline, points=words[at : at + 3 * npts].reshape(npts, 3))
+        )
+        at += 3 * npts
+    if 8 * at != len(payload):
+        raise FormatError(f"{path}: {len(payload) - 8 * at} trailing bytes")
     if not streamlines:
         raise FormatError(f"{path}: no streamlines found")
     return Tractogram(tuple(streamlines))
@@ -227,7 +243,7 @@ def read_slb(path) -> Tractogram:
 # --- labels ----------------------------------------------------------------
 
 def write_labels(lab: Labeling, path):
-    _atomic_write_text(path, "\n".join(str(v) for v in lab.labels) + "\n")
+    _atomic_write_text(path, "\n".join(map(str, lab.labels.tolist())) + "\n")
 
 
 def read_labels(path, m: int | None = None) -> Labeling:
@@ -352,7 +368,7 @@ def read_km(path) -> KernelMatrix:
 
 def write_dense_csv(arr, path):
     arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-    lines = [",".join(_fmt(v) for v in row) for row in arr]
+    lines = [",".join(map(repr, row)) for row in arr.tolist()]
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -380,7 +396,10 @@ def write_sparse_csv(arr, path):
     arr = np.asarray(arr, dtype=np.float64)
     ii, jj = np.nonzero(arr)
     lines = ["row,col,value"]
-    lines += [f"{i},{j},{_fmt(arr[i, j])}" for i, j in zip(ii, jj)]
+    # Python ints and floats format as the NumPy scalars do, without their cost
+    lines += [
+        f"{i},{j},{v!r}" for i, j, v in zip(ii.tolist(), jj.tolist(), arr[ii, jj].tolist())
+    ]
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 

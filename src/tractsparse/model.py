@@ -159,6 +159,10 @@ class SolverConfig:
 def validate_tractogram(t: Tractogram) -> None:
     """Check tractogram invariants, raising a ``DataError`` subclass on violation.
 
+    One pass over the point counts and one ``isfinite`` over all points find
+    the first streamline that breaks a rule; a streamline with both faults
+    is reported as degenerate.
+
     Raises:
         EmptyTractogram: no streamlines at all.
         DegenerateStreamline: a streamline with fewer than 2 points.
@@ -166,8 +170,15 @@ def validate_tractogram(t: Tractogram) -> None:
     """
     if len(t) == 0:
         raise EmptyTractogram("tractogram contains no streamlines")
-    for i, s in enumerate(t):
-        if len(s) < 2:
-            raise DegenerateStreamline(f"streamline {i} has {len(s)} point(s)")
-        if not np.isfinite(s.points).all():
+    pts = [s.points for s in t]
+    counts = [p.shape[0] for p in pts]
+    first = next((i for i, k in enumerate(counts) if k < 2), len(counts))
+    finite = np.isfinite(np.concatenate(pts))
+    if not finite.all():
+        # the streamline holding the first bad point: the first i + 1 hold cumsum[i]
+        q = np.argmin(finite.all(axis=1))
+        i = int(np.searchsorted(np.cumsum(counts), q, side="right"))
+        if i < first:
             raise NonFiniteCoordinate(f"streamline {i} has a non-finite coordinate")
+    if first < len(counts):
+        raise DegenerateStreamline(f"streamline {first} has {counts[first]} point(s)")

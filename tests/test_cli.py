@@ -486,3 +486,25 @@ def test_threads_env_garbage_is_usage_error(workdir, tmp_path, monkeypatch, caps
                "--out", str(tmp_path / "x.dm")])
     capsys.readouterr()
     assert rc == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_threads_below_one_is_usage_error(workdir, tmp_path, capsys, value):
+    out = tmp_path / "x.dm"
+    rc = main(["distances", "--in", str(workdir / "data" / "tract.slb"),
+               "--out", str(out), "--threads", value])
+    assert "argument --threads: must be a positive integer" in capsys.readouterr().err
+    assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_threads_env_below_one_is_usage_error(workdir, tmp_path, monkeypatch, capsys,
+                                              value):
+    monkeypatch.setenv("TRACTSPARSE_THREADS", value)
+    out = tmp_path / "x.dm"
+    rc = main(["distances", "--in", str(workdir / "data" / "tract.slb"),
+               "--out", str(out)])
+    assert "TRACTSPARSE_THREADS" in capsys.readouterr().err
+    assert rc == 2
+    assert not out.exists()

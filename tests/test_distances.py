@@ -299,6 +299,68 @@ def test_threads_over_many_tiles_bitwise_identical(name):
         assert np.array_equal(got, block)
 
 
+class BlockRecorder:
+    """Stands in for ``distances.cdist`` and keeps each block's shape."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __call__(self, xa, xb):
+        self.shapes.append((len(xa), len(xb)))
+        return cdist(xa, xb)
+
+
+def small_and_large(rng, name):
+    """A set that fits one tile and one that fills at least 3 widened tiles."""
+    if name == "ep":  # two points per streamline: 260 of them, tiles of 504
+        return random_tractogram(rng, 130), random_tractogram(rng, 1200)
+    return random_tractogram(rng, 6), random_tractogram(rng, 600)
+
+
+@pytest.mark.parametrize("name", ["mcp", "haus", "ep"])
+def test_cross_against_small_set_widens_tiles_bitwise(name, monkeypatch):
+    from tractsparse.distances import cross_distances
+
+    small, large = small_and_large(np.random.default_rng(46), name)
+    # every pair for mcp and haus; for ep's 156,000 pairs, every 11th column
+    cols = range(0, len(large), 11 if name == "ep" else 1)
+    ref = np.array([[DISTS[name](a, large[j]) for j in cols] for a in small])
+    union = pairwise_distances(Tractogram(small.streamlines + large.streamlines), name)
+    square = union.values[: len(small), len(small):]
+    for workers in (1, 3):
+        rec = BlockRecorder()
+        monkeypatch.setattr(distances, "cdist", rec)
+        ab = cross_distances(small, large, name, threads=workers)
+        ba = cross_distances(large, small, name, threads=workers)
+        monkeypatch.undo()
+        assert np.array_equal(ab[:, cols], ref)
+        assert np.array_equal(ba[cols, :], ref.T)
+        assert np.array_equal(ab, square) and np.array_equal(ba, square.T)
+        # one block per widened tile of the large side, in each orientation
+        assert len(rec.shapes) >= 6
+        assert max(max(shape) for shape in rec.shapes) > distances._TILE_POINTS
+        assert max(r * c for r, c in rec.shapes) <= distances._TILE_POINTS**2
+
+
+@pytest.mark.parametrize("name", ["mcp", "haus", "ep"])
+def test_no_cdist_block_exceeds_budget(name, monkeypatch):
+    from tractsparse.distances import cross_distances
+
+    rng = np.random.default_rng(47)
+    small, large = small_and_large(rng, name)
+    ta, tb = random_tractogram(rng, 9, **LONG), random_tractogram(rng, 7, **LONG)
+    rec = BlockRecorder()
+    monkeypatch.setattr(distances, "cdist", rec)
+    pairwise_distances(large, name)
+    cross_distances(small, large, name)
+    cross_distances(large, small, name)
+    pairwise_distances(ta, name)
+    cross_distances(ta, tb, name)
+    cross_distances(tb, small, name)
+    monkeypatch.undo()
+    assert max(r * c for r, c in rec.shapes) <= distances._TILE_POINTS**2
+
+
 # --- endpoint graph --------------------------------------------------------
 
 def test_endpoint_graph_coincident_connected():

@@ -10,6 +10,7 @@ from tractsparse.cli import main
 from tractsparse.distances import DistanceMatrix, pairwise_distances
 from tractsparse.errors import FormatError
 from tractsparse.io import (
+    _SANE_COUNT,
     read_dense_csv,
     read_dm,
     read_km,
@@ -98,6 +99,31 @@ def test_slb_truncated(tmp_path, tract):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) - 5])
     with pytest.raises(FormatError):
+        read_slb(path)
+
+
+def _second_header(tract) -> int:
+    """Byte offset of the second streamline's point count in an .slb file."""
+    return 4 + 8 + 8 + 24 * len(tract[0])
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        pytest.param(lambda d, at: d[: at + 4], "truncated", id="cut-in-count"),
+        pytest.param(lambda d, at: d[: at + 8 + 12], "truncated", id="cut-in-points"),
+        pytest.param(lambda d, at: d + b"\x00" * 8, "trailing", id="trailing-bytes"),
+        pytest.param(
+            lambda d, at: d[:at] + struct.pack("<Q", _SANE_COUNT + 1) + d[at + 8:],
+            "implausible", id="implausible-count",
+        ),
+    ],
+)
+def test_slb_corruption_is_format_error(tmp_path, tract, corrupt, match):
+    path = tmp_path / "t.slb"
+    write_slb(tract, path)
+    path.write_bytes(corrupt(path.read_bytes(), _second_header(tract)))
+    with pytest.raises(FormatError, match=match):
         read_slb(path)
 
 

@@ -88,3 +88,31 @@ def test_solver_config_accepts_default_and_one_sweep_budgets():
     assert SolverConfig(m=2).t_outer is None
     cfg = SolverConfig(m=2, t_outer=1, t_inner=1)
     assert (cfg.t_outer, cfg.t_inner) == (1, 1)
+
+
+def _line(n, x=0.0):
+    return Streamline(np.column_stack([np.arange(n, dtype=float), np.full(n, x), np.zeros(n)]))
+
+
+def _nan_at(n, q):
+    pts = _line(n).points.copy()
+    pts[q, 1] = np.nan
+    return Streamline(pts)
+
+
+def test_validate_tractogram_names_first_offender():
+    good, short = _line(4), _line(1)
+    t = Tractogram((good, _nan_at(4, 3), good, short, _nan_at(3, 0)))
+    with pytest.raises(NonFiniteCoordinate, match=r"streamline 1\b"):
+        validate_tractogram(t)
+    t = Tractogram((good, short, good, _nan_at(4, 0), good))
+    with pytest.raises(DegenerateStreamline, match=r"streamline 1\b"):
+        validate_tractogram(t)
+    # a streamline with both faults is degenerate, as a per-streamline check finds
+    with pytest.raises(DegenerateStreamline, match=r"streamline 2\b"):
+        validate_tractogram(Tractogram((good, good, _nan_at(1, 0), _nan_at(4, 0))))
+    # a bad last point belongs to its own streamline, not the next one
+    with pytest.raises(NonFiniteCoordinate, match=r"streamline 0\b"):
+        validate_tractogram(Tractogram((_nan_at(5, 4), good)))
+    with pytest.raises(NonFiniteCoordinate, match=r"streamline 1\b"):
+        validate_tractogram(Tractogram((good, _nan_at(2, 0))))
