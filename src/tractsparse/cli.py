@@ -249,6 +249,8 @@ def cmd_cluster(args) -> int:
     manifold = args.method == "gksc-manifold"
     if args.lambdaL is not None and not manifold:
         raise UsageError("--lambdaL applies to gksc-manifold only")
+    if args.lambdaL == 0:
+        raise UsageError("--lambdaL must be > 0; without smoothing use --method gksc --lambda2 0")
     lambda_l = (args.lambdaL if args.lambdaL is not None else DEFAULT_LAMBDA_L) \
         if manifold else 0.0
     with _flag_values():

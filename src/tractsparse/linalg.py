@@ -7,6 +7,12 @@ the low end of a large matrix, which `sym_eig` takes from implicitly
 restarted Lanczos (ARPACK; Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*,
 1998) at O(n²) per matrix-vector product instead of LAPACK's O(n³)
 tridiagonal reduction.
+
+The solvers reuse what they can: `ridge_solver` inverts a fixed m×m system
+once, so each ADMM inner step is one matrix product, and `sylvester_solve`
+takes a precomputed `SchurForm` of Q, which the Laplacian prior computes
+once per fit for each endpoint-graph component (Simoncini, "Computational
+methods for linear matrix equations", SIAM Review 2016).
 """
 
 from __future__ import annotations
@@ -234,35 +240,48 @@ def nnls(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             passive[drop] = False
 
 
-def ridge_solver(a: np.ndarray, ridge: float = 1e-8):
-    """Factor A + ridge·I once; return a callable B ↦ (A + ridge·I)⁻¹·B.
+def _ridge_inverse(shifted: np.ndarray) -> np.ndarray | None:
+    """The inverse of a symmetric matrix, or None when it has no finite one.
 
-    A is symmetric. The Cholesky factor is computed here, once, and reused by
-    every call, so an ADMM W-step factors its fixed matrix once for all its
-    inner steps. If the shifted matrix is not positive definite, or a
-    Cholesky solve is not finite, that call falls back to a
-    symmetric-indefinite (LDLᵀ) solve, and raises SingularAfterRidge when
-    that fails too.
+    Cholesky first; when the matrix is not positive definite or the Cholesky
+    inverse is not finite, a symmetric-indefinite (LDLᵀ) solve.
+    """
+    eye = np.eye(shifted.shape[0])
+    try:
+        c = scipy.linalg.cho_factor(shifted, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        pass
+    else:
+        inv = scipy.linalg.cho_solve(c, eye, check_finite=False)
+        if np.isfinite(inv).all():
+            return inv
+    try:
+        inv = scipy.linalg.solve(shifted, eye, assume_a="sym", check_finite=False)
+    except (scipy.linalg.LinAlgError, ValueError):
+        return None
+    return inv if np.isfinite(inv).all() else None
+
+
+def ridge_solver(a: np.ndarray, ridge: float = 1e-8):
+    """Invert A + ridge·I once; return a callable B ↦ (A + ridge·I)⁻¹·B.
+
+    A is symmetric and small (m×m), so the inverse is formed here, once,
+    and every call is one matrix product: an ADMM W-step inverts its fixed
+    matrix once for all its inner steps, and each inner step costs an
+    m×m by m×n product instead of a LAPACK solve. The inverse comes from a
+    Cholesky factor, or from a symmetric-indefinite (LDLᵀ) solve when the
+    shifted matrix is not positive definite. When both fail every call
+    raises SingularAfterRidge, as does a call whose product is not finite.
     """
     a = _require_symmetric(a, "matrix")
     if ridge < 0:
         raise ValueError("ridge must be non-negative")
-    shifted = a + ridge * np.eye(a.shape[0])
-    try:
-        c = scipy.linalg.cho_factor(shifted, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        c = None
+    inv = _ridge_inverse(a + ridge * np.eye(a.shape[0]))
 
     def solve(b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=np.float64)
-        if c is not None:
-            x = scipy.linalg.cho_solve(c, b, check_finite=False)
-            if np.isfinite(x).all():
-                return x
-        try:
-            x = scipy.linalg.solve(shifted, b, assume_a="sym", check_finite=False)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise SingularAfterRidge(f"solve failed after ridge {ridge}: {exc}") from exc
+        if inv is None:
+            raise SingularAfterRidge(f"matrix is singular after ridge {ridge}")
+        x = inv @ np.asarray(b, dtype=np.float64)
         if not np.isfinite(x).all():
             raise SingularAfterRidge(f"solve produced non-finite values at ridge {ridge}")
         return x

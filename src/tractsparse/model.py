@@ -140,6 +140,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("mu", "lambda1", "lambda2", "lambda_l", "eps_primal"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.s_max < 1:

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .kernel import KernelMatrix
 from .linalg import (
+    SchurForm,
     _symmetrize,
     nnls,
     ridge_solve,
@@ -682,6 +683,49 @@ def default_lambda2(mu: float, n: int, m: int) -> float:
 DEFAULT_LAMBDA_L = 0.01
 
 
+def _laplacian_blocks(laplacian, lambda_l: float, n: int):
+    """Q = λ_L·L split over the endpoint graph's connected components.
+
+    Q is block diagonal over the components, so its Sylvester solve splits
+    into one solve per block. Returns (columns, Q block, its Schur form)
+    per block. Every isolated streamline (degree 0) goes into one shared
+    block, whose Q is zero: its Schur form is zeros in an identity basis.
+    """
+    # imported here: at module level csgraph adds about 1 MiB to every process
+    import scipy.sparse.csgraph
+
+    lap = np.asarray(laplacian, dtype=np.float64)
+    if lap.shape != (n, n):
+        raise ValueError(f"laplacian must be ({n}, {n}), got {lap.shape}")
+    rows, cols = np.nonzero(lap)
+    graph = scipy.sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    count, comp = scipy.sparse.csgraph.connected_components(graph, directed=False)
+    isolated = np.bincount(rows, minlength=n) == 0
+    comp[isolated] = count
+    order = np.argsort(comp, kind="stable")
+    bounds = np.cumsum(np.bincount(comp, minlength=count + 1))[:-1]
+    blocks = []
+    for idx in np.split(order, bounds):
+        if not idx.size:
+            continue
+        if isolated[idx[0]]:
+            q = np.zeros((idx.size, idx.size))
+            sq = SchurForm(q=np.eye(idx.size), eigenvalues=np.zeros(idx.size))
+        else:
+            q = lambda_l * lap[np.ix_(idx, idx)]
+            sq = schur_form(q)
+        blocks.append((idx, q, sq))
+    return blocks
+
+
+def _blockwise_sylvester(p: np.ndarray, blocks, r: np.ndarray) -> np.ndarray:
+    """Solve P·W + W·Q = R one block of Q (`_laplacian_blocks`) at a time."""
+    w = np.empty_like(r)
+    for idx, q, sq in blocks:
+        w[:, idx] = sylvester_solve(p, q, r[:, idx], schur_q=sq)
+    return w
+
+
 def _admm_w_step(solve, atk, mu, lam1_over_mu, cfg: SolverConfig, rms):
     """Inner ADMM for W under the L1 term, started from Z = U = 0.
 
@@ -835,14 +879,17 @@ def gksc_fit(
     primal residual ‖W−Z‖_F/√(mn) drops below eps_primal, then updates the
     dictionary. The returned assignment is the final Z. A run that stops on
     the sweep budget is returned with converged=False rather than raising.
-    Without a Laplacian, each W-step factors its fixed m×m system once
-    (`ridge_solver`) and reuses the factor in every inner step.
+    Without a Laplacian, each W-step inverts its fixed m×m system once
+    (`ridge_solver`) and applies the inverse in every inner step.
 
     With a Laplacian, λ_L·tr(WLWᵀ) smooths memberships over the endpoint
     graph: the W-solve becomes a Sylvester equation, solved in the
-    eigenbases of P = AᵀKA + μI and Q = λ_L·L. Q's eigendecomposition is
-    computed once per fit, and A is refined multiplicatively on Z. With
-    λ2 = 0 and no Laplacian the same loop runs with the L1 term alone.
+    eigenbases of P = AᵀKA + μI and Q = λ_L·L. Q is block diagonal over
+    the graph's connected components, so each component's block gets its
+    Schur form once per fit and the equation is solved one block of
+    columns at a time (`_laplacian_blocks`). A is refined multiplicatively
+    on Z. With λ2 = 0 and no Laplacian the same loop runs with the L1 term
+    alone.
 
     Otherwise (λ2 > 0, the default) the group prior lets whole clusters
     dissolve. Atoms are the unit-norm means of the streamlines each row
@@ -869,10 +916,7 @@ def gksc_fit(
     if manifold:
         if cfg.lambda_l <= 0:
             raise ValueError("the Laplacian variant requires lambda_l > 0")
-        q = cfg.lambda_l * np.asarray(laplacian, dtype=np.float64)
-        if q.shape != (n, n):
-            raise ValueError(f"laplacian must be ({n}, {n}), got {q.shape}")
-        schur_q = schur_form(q)
+        blocks = _laplacian_blocks(laplacian, cfg.lambda_l, n)
     else:
         lam2 = cfg.lambda2 if cfg.lambda2 is not None else default_lambda2(mu, n, m)
         if lam2 > 0.0:
@@ -889,9 +933,7 @@ def gksc_fit(
     atk, atka = _atk_atka(k, a.a)
     for iterations in range(1, t_outer + 1):
         if manifold:
-            solve = partial(
-                sylvester_solve, atka + mu * np.eye(m), q, schur_q=schur_q
-            )
+            solve = partial(_blockwise_sylvester, atka + mu * np.eye(m), blocks)
         else:
             solve = ridge_solver(atka, mu)
         z, primal, inner_ok = _admm_w_step(solve, atk, mu, lam1_over_mu, cfg, rms)

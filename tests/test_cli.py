@@ -422,7 +422,13 @@ def test_rerun_removes_stale_unassigned(workdir, atlas_dir, tmp_path, command):
     ["cluster", "--method", "gksc-manifold", "--m", "2", "--ep-threshold", "-1"],
     ["atlas-build", "--m", "0"],
     ["segment", "--smax", "0"],
-], ids=["m", "smax", "mu", "lambda1", "ep-threshold", "atlas-m", "segment-smax"])
+    ["cluster", "--method", "gksc", "--m", "2", "--mu", "nan"],
+    ["cluster", "--method", "gksc", "--m", "2", "--lambda1", "inf"],
+    ["cluster", "--method", "gksc", "--m", "2", "--lambda2", "nan"],
+    ["cluster", "--method", "gksc-manifold", "--m", "2", "--lambdaL", "nan"],
+    ["cluster", "--method", "gksc-manifold", "--m", "2", "--lambdaL", "0"],
+], ids=["m", "smax", "mu", "lambda1", "ep-threshold", "atlas-m", "segment-smax",
+        "mu-nan", "lambda1-inf", "lambda2-nan", "lambdaL-nan", "lambdaL-0"])
 def test_bad_flag_value_is_usage_error(workdir, atlas_dir, tmp_path, capsys, argv):
     argv = argv + ["--in", str(workdir / "data" / "tract.slb"),
                    "--out", str(tmp_path / "x")]

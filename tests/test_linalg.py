@@ -296,6 +296,21 @@ def test_ridge_solver_raises_where_ridge_solve_does():
         ridge_solver(np.triu(np.ones((3, 3))))
 
 
+def test_ridge_solver_call_runs_no_lapack_solve(monkeypatch):
+    rng = np.random.default_rng(6)
+    g = rng.normal(size=(5, 5))
+    solve = ridge_solver(g @ g.T + np.eye(5), ridge=1e-3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a call ran a LAPACK solve")
+
+    for name in ("cho_factor", "cho_solve", "solve", "lu_solve", "solve_triangular"):
+        monkeypatch.setattr(scipy.linalg, name, refuse)
+    b = rng.normal(size=(5, 30))
+    x = solve(b)
+    assert np.allclose((g @ g.T + (1.0 + 1e-3) * np.eye(5)) @ x, b, atol=1e-10)
+
+
 # --- Schur form ------------------------------------------------------------
 
 def test_schur_form_symmetric_is_diagonal():

@@ -75,6 +75,14 @@ def test_solver_config_validation():
         SolverConfig(m=2, lambda1=-0.1)
 
 
+@pytest.mark.parametrize("field", ["mu", "lambda1", "lambda2", "lambda_l", "eps_primal"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_solver_config_rejects_non_finite_weights(field, value):
+    # NaN passes every < and <= check, so it needs its own
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SolverConfig(m=2, **{field: value})
+
+
 @pytest.mark.parametrize("budget", [
     {"t_outer": 0}, {"t_outer": -3}, {"t_inner": 0}, {"t_inner": -1},
 ], ids=["t_outer-0", "t_outer-negative", "t_inner-0", "t_inner-negative"])
