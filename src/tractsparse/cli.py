@@ -244,15 +244,19 @@ def _build_kernel(args, tract, timer):
 
 def cmd_cluster(args) -> int:
     timer = _Timer()
-    if args.lambda2 is not None and args.lambdaL is not None:
-        raise UsageError("--lambda2 and --lambdaL are mutually exclusive priors")
     manifold = args.method == "gksc-manifold"
     if args.lambdaL is not None and not manifold:
         raise UsageError("--lambdaL applies to gksc-manifold only")
+    if args.lambda2 is not None and manifold:
+        raise UsageError("--lambda2 does not apply to gksc-manifold (use --lambdaL)")
+    if args.ep_threshold is not None and not manifold:
+        raise UsageError("--ep-threshold applies to gksc-manifold only")
     if args.lambdaL == 0:
         raise UsageError("--lambdaL must be > 0; without smoothing use --method gksc --lambda2 0")
     lambda_l = (args.lambdaL if args.lambdaL is not None else DEFAULT_LAMBDA_L) \
         if manifold else 0.0
+    ep_threshold = (args.ep_threshold if args.ep_threshold is not None
+                    else DEFAULT_ENDPOINT_THRESHOLD_MM) if manifold else None
     with _flag_values():
         cfg = SolverConfig(
             m=args.m, s_max=args.smax, lambda1=args.lambda1,
@@ -279,7 +283,7 @@ def cmd_cluster(args) -> int:
             result = gksc_fit(k, cfg, init)
         else:
             with _flag_values():
-                graph = build_endpoint_graph(tract, args.ep_threshold)
+                graph = build_endpoint_graph(tract, ep_threshold)
             result = gksc_fit(k, cfg, init, laplacian=graph_laplacian(graph))
 
     out = Path(args.out)
@@ -294,7 +298,7 @@ def cmd_cluster(args) -> int:
         out, "cluster",
         dict(
             method=args.method, measure=args.measure, init=args.init,
-            nystrom=args.nystrom, ep_threshold=args.ep_threshold if manifold else None,
+            nystrom=args.nystrom, ep_threshold=ep_threshold,
             threads=args.threads, **{
                 key: getattr(cfg, key)
                 for key in ("m", "s_max", "lambda1", "lambda2", "lambda_l", "mu", "seed")
@@ -464,8 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nystrom", type=int, default=None, metavar="P",
                    help="landmark count for the low-rank kernel")
     p.add_argument("--init", choices=["spectral", "random"], default="spectral")
-    p.add_argument("--ep-threshold", type=float, default=DEFAULT_ENDPOINT_THRESHOLD_MM,
-                   help="endpoint graph threshold in mm (gksc-manifold)")
+    p.add_argument("--ep-threshold", type=float, default=None,
+                   help="endpoint graph threshold in mm (gksc-manifold, "
+                        f"default {DEFAULT_ENDPOINT_THRESHOLD_MM})")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--save-kernel", action="store_true",
                    help="also persist the kernel as kernel.km")

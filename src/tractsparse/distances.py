@@ -83,8 +83,8 @@ class EndpointGraph:
             raise ValueError("adjacency diagonal must be zero")
         if not np.array_equal(adj, adj.T):
             raise ValueError("adjacency must be symmetric")
-        if self.threshold_mm <= 0:
-            raise ValueError("threshold_mm must be positive")
+        if not 0 < self.threshold_mm < np.inf:
+            raise ValueError("threshold_mm must be finite and positive")
         object.__setattr__(self, "adjacency", _frozen_array(adj, dtype=np.uint8))
         object.__setattr__(
             self, "degree", _frozen_array(adj.sum(axis=1), dtype=np.int64)
@@ -350,8 +350,8 @@ def build_endpoint_graph(
     strictly below ``threshold_mm``. Self-loops are never added. The minima
     come from the distance tile driver over endpoints, exact in any order.
     """
-    if threshold_mm <= 0:
-        raise ValueError("threshold_mm must be positive")
+    if not 0 < threshold_mm < np.inf:
+        raise ValueError(f"threshold_mm must be finite and positive, got {threshold_mm}")
     validate_tractogram(t)
     adj = _assemble(_tiles(t, "near"), None, "near", 1) < threshold_mm
     np.fill_diagonal(adj, 0)

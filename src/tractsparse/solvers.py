@@ -22,7 +22,6 @@ identical results, and all tie-breaks go to the lowest index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .errors import (
 )
 from .kernel import KernelMatrix
 from .linalg import (
-    SchurForm,
     _symmetrize,
     nnls,
     ridge_solve,
@@ -688,8 +686,8 @@ def _laplacian_blocks(laplacian, lambda_l: float, n: int):
 
     Q is block diagonal over the components, so its Sylvester solve splits
     into one solve per block. Returns (columns, Q block, its Schur form)
-    per block. Every isolated streamline (degree 0) goes into one shared
-    block, whose Q is zero: its Schur form is zeros in an identity basis.
+    per component. Isolated streamlines (a zero row of L) get no block:
+    their columns of Q are zero, so the W-step there is P⁻¹·R.
     """
     # imported here: at module level csgraph adds about 1 MiB to every process
     import scipy.sparse.csgraph
@@ -700,30 +698,35 @@ def _laplacian_blocks(laplacian, lambda_l: float, n: int):
     rows, cols = np.nonzero(lap)
     graph = scipy.sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
     count, comp = scipy.sparse.csgraph.connected_components(graph, directed=False)
-    isolated = np.bincount(rows, minlength=n) == 0
-    comp[isolated] = count
+    linked = np.bincount(rows, minlength=n) > 0
     order = np.argsort(comp, kind="stable")
-    bounds = np.cumsum(np.bincount(comp, minlength=count + 1))[:-1]
+    bounds = np.cumsum(np.bincount(comp, minlength=count))[:-1]
     blocks = []
     for idx in np.split(order, bounds):
-        if not idx.size:
-            continue
-        if isolated[idx[0]]:
-            q = np.zeros((idx.size, idx.size))
-            sq = SchurForm(q=np.eye(idx.size), eigenvalues=np.zeros(idx.size))
-        else:
+        if linked[idx[0]]:
             q = lambda_l * lap[np.ix_(idx, idx)]
-            sq = schur_form(q)
-        blocks.append((idx, q, sq))
+            blocks.append((idx, q, schur_form(q)))
     return blocks
 
 
-def _blockwise_sylvester(p: np.ndarray, blocks, r: np.ndarray) -> np.ndarray:
-    """Solve P·W + W·Q = R one block of Q (`_laplacian_blocks`) at a time."""
-    w = np.empty_like(r)
-    for idx, q, sq in blocks:
-        w[:, idx] = sylvester_solve(p, q, r[:, idx], schur_q=sq)
-    return w
+def _w_solver(atka: np.ndarray, mu: float, blocks):
+    """R ↦ W with P·W + W·Q = R, P = AᵀKA + μI, Q given by its blocks.
+
+    P⁻¹ (`ridge_solver`) solves every column, then each block's columns are
+    overwritten by their Sylvester solve. With no blocks this is P⁻¹ alone.
+    """
+    inverse = ridge_solver(atka, mu)
+    if not blocks:
+        return inverse
+    p = atka + mu * np.eye(atka.shape[0])
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        w = inverse(r)
+        for idx, q, sq in blocks:
+            w[:, idx] = sylvester_solve(p, q, r[:, idx], schur_q=sq)
+        return w
+
+    return solve
 
 
 def _admm_w_step(solve, atk, mu, lam1_over_mu, cfg: SolverConfig, rms):
@@ -879,17 +882,16 @@ def gksc_fit(
     primal residual ‖W−Z‖_F/√(mn) drops below eps_primal, then updates the
     dictionary. The returned assignment is the final Z. A run that stops on
     the sweep budget is returned with converged=False rather than raising.
-    Without a Laplacian, each W-step inverts its fixed m×m system once
-    (`ridge_solver`) and applies the inverse in every inner step.
 
     With a Laplacian, λ_L·tr(WLWᵀ) smooths memberships over the endpoint
-    graph: the W-solve becomes a Sylvester equation, solved in the
-    eigenbases of P = AᵀKA + μI and Q = λ_L·L. Q is block diagonal over
-    the graph's connected components, so each component's block gets its
-    Schur form once per fit and the equation is solved one block of
-    columns at a time (`_laplacian_blocks`). A is refined multiplicatively
-    on Z. With λ2 = 0 and no Laplacian the same loop runs with the L1 term
-    alone.
+    graph: the W-solve becomes the Sylvester equation P·W + W·Q = R with
+    P = AᵀKA + μI and Q = λ_L·L. Q is block diagonal over the graph's
+    connected components, so each component's block gets its Schur form
+    once per fit and its columns are solved in the two eigenbases
+    (`_laplacian_blocks`). Every other column has Q = 0 and takes P⁻¹·R,
+    with P inverted once per W-step (`_w_solver`). With λ2 = 0 and no
+    Laplacian the same loop runs with no blocks, the L1 term alone. A is
+    refined multiplicatively on Z.
 
     Otherwise (λ2 > 0, the default) the group prior lets whole clusters
     dissolve. Atoms are the unit-norm means of the streamlines each row
@@ -912,8 +914,7 @@ def gksc_fit(
     """
     t_outer = _start_budget(k, cfg, init, _ADMM_SWEEPS)
     n, m, mu = k.n, cfg.m, cfg.mu
-    manifold = laplacian is not None
-    if manifold:
+    if laplacian is not None:
         if cfg.lambda_l <= 0:
             raise ValueError("the Laplacian variant requires lambda_l > 0")
         blocks = _laplacian_blocks(laplacian, cfg.lambda_l, n)
@@ -921,6 +922,7 @@ def gksc_fit(
         lam2 = cfg.lambda2 if cfg.lambda2 is not None else default_lambda2(mu, n, m)
         if lam2 > 0.0:
             return _group_fit(k, cfg, init, lam2, t_outer)
+        blocks = []
     lam1_over_mu = cfg.lambda1 / mu
 
     a = _init_dictionary(init, k)
@@ -932,10 +934,7 @@ def gksc_fit(
     k_trace = k.trace()
     atk, atka = _atk_atka(k, a.a)
     for iterations in range(1, t_outer + 1):
-        if manifold:
-            solve = partial(_blockwise_sylvester, atka + mu * np.eye(m), blocks)
-        else:
-            solve = ridge_solver(atka, mu)
+        solve = _w_solver(atka, mu, blocks)
         z, primal, inner_ok = _admm_w_step(solve, atk, mu, lam1_over_mu, cfg, rms)
         a = prune_dictionary(mult_update_A(k, z, a))
         atk, atka = _atk_atka(k, a.a)

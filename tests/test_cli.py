@@ -224,6 +224,10 @@ def test_cluster_flag_conflicts(workdir, tmp_path, capsys):
     assert main(base + ["--method", "ksc", "--lambdaL", "1"]) == 2
     assert main(base + ["--method", "ksc", "--nystrom", "50"]) == 2
     capsys.readouterr()
+    assert main(base + ["--method", "gksc-manifold", "--lambda2", "5"]) == 2
+    assert "--lambda2" in capsys.readouterr().err
+    assert main(base + ["--method", "ksc", "--ep-threshold", "3"]) == 2
+    assert "--ep-threshold" in capsys.readouterr().err
 
 
 def test_cluster_eigensolver_failure_is_numerical_error(workdir, tmp_path,
@@ -427,8 +431,11 @@ def test_rerun_removes_stale_unassigned(workdir, atlas_dir, tmp_path, command):
     ["cluster", "--method", "gksc", "--m", "2", "--lambda2", "nan"],
     ["cluster", "--method", "gksc-manifold", "--m", "2", "--lambdaL", "nan"],
     ["cluster", "--method", "gksc-manifold", "--m", "2", "--lambdaL", "0"],
+    ["cluster", "--method", "gksc-manifold", "--m", "2", "--ep-threshold", "nan"],
+    ["cluster", "--method", "gksc-manifold", "--m", "2", "--ep-threshold", "inf"],
 ], ids=["m", "smax", "mu", "lambda1", "ep-threshold", "atlas-m", "segment-smax",
-        "mu-nan", "lambda1-inf", "lambda2-nan", "lambdaL-nan", "lambdaL-0"])
+        "mu-nan", "lambda1-inf", "lambda2-nan", "lambdaL-nan", "lambdaL-0",
+        "ep-threshold-nan", "ep-threshold-inf"])
 def test_bad_flag_value_is_usage_error(workdir, atlas_dir, tmp_path, capsys, argv):
     argv = argv + ["--in", str(workdir / "data" / "tract.slb"),
                    "--out", str(tmp_path / "x")]

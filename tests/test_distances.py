@@ -429,6 +429,15 @@ def test_endpoint_graph_rejects_bad_threshold():
         build_endpoint_graph(t, 0.0)
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+def test_endpoint_graph_requires_a_finite_threshold(threshold):
+    t = Tractogram((Streamline([[0, 0, 0], [1, 0, 0]]),))
+    with pytest.raises(ValueError, match="finite"):
+        build_endpoint_graph(t, threshold)
+    with pytest.raises(ValueError, match="finite"):
+        EndpointGraph(np.zeros((1, 1), dtype=np.uint8), threshold)
+
+
 def test_endpoint_graph_validation():
     with pytest.raises(ValueError):
         EndpointGraph(np.array([[0, 2], [2, 0]]), 7.0)

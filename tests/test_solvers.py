@@ -13,6 +13,7 @@ from tractsparse.errors import (
 )
 from tractsparse import linalg, solvers, synth
 from tractsparse.distances import (
+    EndpointGraph,
     build_endpoint_graph,
     graph_laplacian,
     pairwise_distances,
@@ -1133,13 +1134,16 @@ def test_blockwise_w_solve_matches_full_q_solve():
     assert isolated.size == 12
     blocks = solvers._laplacian_blocks(lap, lam, n)
     sizes = sorted(idx.size for idx, _, _ in blocks)
-    assert sizes == [9, 12, 14, 25]  # the isolated streamlines share one block
+    assert sizes == [9, 14, 25]  # the isolated streamlines get no block
     g = rng.normal(size=(m, m))
-    p = g @ g.T + 0.01 * np.eye(m)
+    atka, mu = g @ g.T, 0.01
     r = rng.normal(size=(m, n))
-    got = solvers._blockwise_sylvester(p, blocks, r)
-    want = linalg.sylvester_solve(p, lam * lap, r)
+    got = solvers._w_solver(atka, mu, blocks)(r)
+    want = linalg.sylvester_solve(atka + mu * np.eye(m), lam * lap, r)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    assert np.linalg.norm(got[:, isolated] - want[:, isolated]) <= 1e-10 * np.linalg.norm(
+        want[:, isolated]
+    )
 
 
 def test_laplacian_fit_never_decomposes_an_n_by_n_matrix(sep5_kernels, monkeypatch):
@@ -1161,7 +1165,7 @@ def test_laplacian_fit_never_decomposes_an_n_by_n_matrix(sep5_kernels, monkeypat
     assert sizes and max(sizes) < k.n
 
 
-def test_zero_laplacian_solves_once_per_inner_step(monkeypatch):
+def test_zero_laplacian_fit_is_the_l1_fit_with_no_sylvester_call(monkeypatch):
     rng = np.random.default_rng(64)
     x, truth = axis_blobs(rng, m=2, per=8)
     k = rbf_from_points(x)
@@ -1180,9 +1184,25 @@ def test_zero_laplacian_solves_once_per_inner_step(monkeypatch):
     monkeypatch.setattr(solvers, "sylvester_solve", sylvester)
     cfg = SolverConfig(m=2, lambda2=0.0, lambda_l=0.01, t_outer=3, t_inner=5,
                        eps_primal=1e-300)
-    gksc_fit(k, cfg, Labeling(truth, m=2), laplacian=np.zeros((k.n, k.n)))
+    zero = gksc_fit(k, cfg, Labeling(truth, m=2), laplacian=np.zeros((k.n, k.n)))
     assert counts["inner"] >= 5
-    assert counts["sylvester"] == counts["inner"]
+    assert counts["sylvester"] == 0
+    plain = gksc_fit(k, cfg, Labeling(truth, m=2))
+    assert zero.assignment.w.tobytes() == plain.assignment.w.tobytes()
+    assert zero.dictionary.a.tobytes() == plain.dictionary.a.tobytes()
+    assert zero.cost_trace == plain.cost_trace
+    assert zero.primal_residual_trace == plain.primal_residual_trace
+
+
+def test_edgeless_graph_fit_allocates_less_than_an_n_by_n_array():
+    n, m = 800, 4
+    k = kernel_from_distances(random_distances(n, seed=3))
+    lap = graph_laplacian(EndpointGraph(np.zeros((n, n), dtype=np.uint8), 7.0))
+    init = Labeling(np.arange(n) % m, m=m)
+    cfg = SolverConfig(m=m, lambda2=0.0, lambda_l=0.01, t_outer=2, t_inner=5)
+    res, peak = traced_peak(gksc_fit, k, cfg, init, laplacian=lap)
+    assert res.iterations >= 1
+    assert peak < n * n * 8
 
 
 def test_gksc_manifold_bitwise_deterministic():
