@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import json
 import sys
@@ -49,7 +50,7 @@ from .io import (
     write_slb,
     SLB_MAGIC,
 )
-from .kernel import kernel_from_distances, nystrom_kernel
+from .kernel import _kernel_in_distance_buffer, nystrom_kernel
 from .metrics import compute_metrics
 from .model import SolverConfig
 from .solvers import (
@@ -239,29 +240,43 @@ def _build_kernel(args, tract, timer):
         with timer.stage("distances"):
             d = pairwise_distances(tract, args.measure, threads=args.threads)
     with timer.stage("kernel"):
-        return kernel_from_distances(d)
+        return _kernel_in_distance_buffer(d)
+
+
+# The `cluster` flags that only some methods read: flag, its args name and
+# those methods. Any other method rejects the flag as a usage error.
+_METHOD_FLAGS = [
+    ("--smax", "smax", ("ksc",)),
+    ("--lambda1", "lambda1", ("gksc", "gksc-manifold")),
+    ("--lambda2", "lambda2", ("gksc",)),
+    ("--mu", "mu", ("gksc", "gksc-manifold")),
+    ("--lambdaL", "lambdaL", ("gksc-manifold",)),
+    ("--ep-threshold", "ep_threshold", ("gksc-manifold",)),
+]
 
 
 def cmd_cluster(args) -> int:
     timer = _Timer()
-    manifold = args.method == "gksc-manifold"
-    if args.lambdaL is not None and not manifold:
-        raise UsageError("--lambdaL applies to gksc-manifold only")
-    if args.lambda2 is not None and manifold:
-        raise UsageError("--lambda2 does not apply to gksc-manifold (use --lambdaL)")
-    if args.ep_threshold is not None and not manifold:
-        raise UsageError("--ep-threshold applies to gksc-manifold only")
+    for flag, name, methods in _METHOD_FLAGS:
+        if getattr(args, name) is not None and args.method not in methods:
+            raise UsageError(f"{flag} applies to {' and '.join(methods)} only")
     if args.lambdaL == 0:
         raise UsageError("--lambdaL must be > 0; without smoothing use --method gksc --lambda2 0")
+    manifold = args.method == "gksc-manifold"
     lambda_l = (args.lambdaL if args.lambdaL is not None else DEFAULT_LAMBDA_L) \
         if manifold else 0.0
     ep_threshold = (args.ep_threshold if args.ep_threshold is not None
                     else DEFAULT_ENDPOINT_THRESHOLD_MM) if manifold else None
+    # A flag left out takes SolverConfig's default, as the manifest records.
+    given = {
+        key: value
+        for key, value in (("s_max", args.smax), ("lambda1", args.lambda1), ("mu", args.mu))
+        if value is not None
+    }
     with _flag_values():
         cfg = SolverConfig(
-            m=args.m, s_max=args.smax, lambda1=args.lambda1,
-            lambda2=0.0 if manifold else args.lambda2,
-            lambda_l=lambda_l, mu=args.mu, seed=args.seed,
+            m=args.m, lambda2=0.0 if manifold else args.lambda2,
+            lambda_l=lambda_l, seed=args.seed, **given,
         )
 
     with timer.stage("read"):
@@ -457,14 +472,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", choices=["kkm", "ksc", "gksc", "gksc-manifold"], required=True,
     )
     p.add_argument("--m", type=int, required=True, help="dictionary size")
-    p.add_argument("--smax", type=int, default=3)
-    p.add_argument("--lambda1", type=float, default=0.001)
+    p.add_argument("--smax", type=int, default=None,
+                   help=f"atoms per streamline (ksc, default {SolverConfig.s_max})")
+    p.add_argument("--lambda1", type=float, default=None,
+                   help="L1 weight (gksc and gksc-manifold, "
+                        f"default {SolverConfig.lambda1})")
     p.add_argument("--lambda2", type=float, default=None,
                    help="group prior weight; larger retires more dictionary rows "
                         "(default: scale-aware, see README)")
     p.add_argument("--lambdaL", type=float, default=None,
                    help=f"graph smoothing weight (default {DEFAULT_LAMBDA_L})")
-    p.add_argument("--mu", type=float, default=0.01)
+    p.add_argument("--mu", type=float, default=None,
+                   help="ADMM penalty (gksc and gksc-manifold, "
+                        f"default {SolverConfig.mu})")
     p.add_argument("--nystrom", type=int, default=None, metavar="P",
                    help="landmark count for the low-rank kernel")
     p.add_argument("--init", choices=["spectral", "random"], default="spectral")
@@ -512,6 +532,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _release_freed_heap():
+    """Return the pages of freed heap memory to the operating system (glibc).
+
+    Once the first n×n array is freed, glibc serves arrays up to that size
+    from the heap and keeps up to twice that much freed heap resident. A
+    process that calls `main` for several commands in turn would then carry
+    one command's freed matrix into the next as resident memory whenever
+    smaller allocations split it first. Without ``malloc_trim`` (other C
+    libraries) this does nothing.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -533,6 +572,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        _release_freed_heap()
 
 
 if __name__ == "__main__":

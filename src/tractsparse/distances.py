@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .linalg import _row_strips
 from .model import Streamline, Tractogram, _adopt, _frozen_array, validate_tractogram
 
 MEASURES = ("mcp", "haus", "ep")
@@ -53,13 +54,18 @@ class DistanceMatrix:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (self.n, self.n):
             raise ValueError(f"values must be ({self.n}, {self.n}), got {vals.shape}")
-        if not np.isfinite(vals).all():
+        # min and max carry any NaN or infinity, and the symmetry check
+        # compares one strip of rows at a time, so no n×n mask is made.
+        low, high = (vals.min(), vals.max()) if vals.size else (0.0, 0.0)
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("distance matrix contains non-finite values")
-        if vals.size and vals.min() < 0:
+        if low < 0:
             raise ValueError("distance matrix contains negative values")
         if np.any(np.diagonal(vals) != 0.0):
             raise ValueError("distance matrix diagonal must be exactly zero")
-        if not np.array_equal(vals, vals.T):
+        if not all(
+            np.array_equal(vals[i:j, i:], vals[i:, i:j].T) for i, j in _row_strips(self.n)
+        ):
             raise ValueError("distance matrix must be symmetric")
         object.__setattr__(self, "values", _frozen_array(vals))
 

@@ -75,8 +75,10 @@ def _atomic_write_text(path, text: str):
 
 def sha256_file(path) -> str:
     h = hashlib.sha256()
+    # 256 KiB pieces: two are live at a time, beside whatever matrix the
+    # command holds while it writes its manifest.
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
+        for chunk in iter(lambda: f.read(1 << 18), b""):
             h.update(chunk)
     return h.hexdigest()
 
@@ -279,22 +281,19 @@ def write_dm(d: DistanceMatrix, path):
 
 
 def read_dm(path) -> DistanceMatrix:
-    """Read a ``.dm`` file: one read of the triangle, then row slices into the matrix.
+    """Read a ``.dm`` file row by row of the triangle into the matrix.
 
     The file size is checked against the header's n before anything is
-    allocated. At peak the triangle and the matrix are held (1.5 matrices).
+    allocated. Each row of the triangle is read into a one-row array and
+    copied into its row and column, so at peak the matrix and one row are
+    held.
     """
     with _read_binary(path, DM_MAGIC) as r:
         n = r.u64()
-        size = n * (n + 1) // 2
-        r.expect_rest(8 * size)
-        tri = r.f64_array(size)
-    values = np.empty((n, n))
-    start = 0
-    for i in range(n):
-        values[i, i:] = values[i:, i] = tri[start : start + n - i]
-        start += n - i
-    del tri
+        r.expect_rest(8 * (n * (n + 1) // 2))
+        values = np.empty((n, n))
+        for i in range(n):
+            values[i, i:] = values[i:, i] = r.f64_array(n - i)
     try:
         return _adopt(DistanceMatrix, n=n, values=values)
     except ValueError as exc:

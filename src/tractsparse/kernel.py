@@ -91,7 +91,11 @@ def select_gamma(d: DistanceMatrix) -> float:
         raise ValueError("need at least 2 streamlines to select gamma")
     # The off-diagonal entries are the strict upper triangle twice over, and
     # doubling a multiset keeps its median, to the bit.
-    off = np.concatenate([d.values[i, i + 1 :] for i in range(d.n - 1)])
+    return _width_from_upper(np.concatenate([d.values[i, i + 1 :] for i in range(d.n - 1)]))
+
+
+def _width_from_upper(off: np.ndarray) -> float:
+    """`select_gamma` of the strict upper triangle ``off``, which it reorders."""
     if not off.any():
         raise AllZeroDistances("all off-diagonal distances are zero")
     sigma = float(np.median(off, overwrite_input=True))
@@ -101,9 +105,23 @@ def select_gamma(d: DistanceMatrix) -> float:
     return 1.0 / (2.0 * sigma * sigma)
 
 
-def _rbf_values(d: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(−γ·d²) in one fresh array, squared, scaled and exponentiated in place."""
-    k = np.square(d)
+def _gamma_or_one(select, *args) -> float:
+    """``select(*args)``, or γ = 1 with a warning when every distance is zero."""
+    try:
+        return select(*args)
+    except AllZeroDistances:
+        warnings.warn("all distances are zero; falling back to gamma=1", stacklevel=3)
+        return 1.0
+
+
+def _rbf_values(d: np.ndarray, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(−γ·d²), squared, scaled and exponentiated in place in one array.
+
+    That array is ``out``, or a fresh one at None. ``out`` may be ``d``
+    itself: each step is elementwise, so the bits are those of a fresh
+    array.
+    """
+    k = np.square(d, out=out)
     k *= -gamma
     return np.exp(k, out=k)
 
@@ -118,16 +136,18 @@ def _psd_shift(values: np.ndarray) -> float:
     return -lam_min if lam_min < 0.0 else 0.0
 
 
-def _shifted_rbf(d: np.ndarray, gamma: float, shift: float | None = None) -> KernelMatrix:
+def _shifted_rbf(
+    d: np.ndarray, gamma: float, shift: float | None = None, out: np.ndarray | None = None
+) -> KernelMatrix:
     """Dense exp(−γ·d²) + shift·I, built in a single n×n array.
 
-    With ``shift`` None the shift is `_psd_shift` of the unshifted kernel.
-    The shift is added to the diagonal alone, which gives the same floats
-    as adding shift·I.
+    ``out`` is as in `_rbf_values`. With ``shift`` None the shift is
+    `_psd_shift` of the unshifted kernel. The shift is added to the
+    diagonal alone, which gives the same floats as adding shift·I.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    values = _rbf_values(d, gamma)
+    values = _rbf_values(d, gamma, out)
     if shift is None:
         shift = _psd_shift(values)
     if shift:
@@ -171,14 +191,40 @@ def kernel_from_distances(d: DistanceMatrix, gamma: float | None = None) -> Kern
     in one n×n array.
     """
     if gamma is None:
-        try:
-            gamma = select_gamma(d)
-        except AllZeroDistances:
-            warnings.warn(
-                "all distances are zero; falling back to gamma=1", stacklevel=2
-            )
-            gamma = 1.0
+        gamma = _gamma_or_one(select_gamma, d)
     return _shifted_rbf(d.values, gamma)
+
+
+def _kernel_in_distance_buffer(d: DistanceMatrix) -> KernelMatrix:
+    """``kernel_from_distances(d)`` bit for bit, built in d's own n×n buffer.
+
+    Only for a DistanceMatrix its caller made and drops at once: the buffer
+    is unfrozen and overwritten, so d holds kernel values afterwards, and
+    no second n×n or half-size array is made. For γ the strict upper
+    triangle is packed row by row at the front of the buffer, in
+    `select_gamma`'s order, and a copy right behind it is partitioned. The
+    rows are then unpacked from the last one back and mirrored, which
+    restores the distances before the kernel overwrites them.
+    """
+    n = d.n
+    if n < 2:
+        raise ValueError("need at least 2 streamlines to select gamma")
+    values = d.values
+    values.flags.writeable = True
+    flat = values.reshape(-1)
+    at = 0
+    for i in range(n - 1):
+        flat[at : at + n - 1 - i] = values[i, i + 1 :]
+        at += n - 1 - i
+    flat[at : 2 * at] = flat[:at]
+    gamma = _gamma_or_one(_width_from_upper, flat[at : 2 * at])
+    for i in reversed(range(n - 1)):
+        at -= n - 1 - i
+        values[i, i + 1 :] = flat[at : at + n - 1 - i]
+    for i in range(n):
+        values[i, i] = 0.0
+        values[i + 1 :, i] = values[i, i + 1 :]
+    return _shifted_rbf(values, gamma, out=values)
 
 
 def _nystrom_factor(k_aa: np.ndarray, k_ab: np.ndarray):

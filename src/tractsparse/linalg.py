@@ -109,7 +109,12 @@ def _require_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def sym_eig(a: np.ndarray, count: int | None = None):
+def _lanczos_applies(n: int, count: int | None) -> bool:
+    """Whether `sym_eig` takes the ``count`` smallest pairs of order n from Lanczos."""
+    return count is not None and n >= _LANCZOS_MIN_N and count <= _LANCZOS_NCV // 2
+
+
+def sym_eig(a, count: int | None = None):
     """Eigendecomposition of a symmetric matrix, in full or its low end.
 
     With ``count`` set, only the ``count`` smallest eigenpairs are computed.
@@ -118,7 +123,9 @@ def sym_eig(a: np.ndarray, count: int | None = None):
     vector, with restart vectors from a fixed seed where SciPy takes one
     (``_EIGSH_RNG``), so the same matrix gives the same bits on every call;
     otherwise from LAPACK's subset driver. The full decomposition
-    (``count=None``) is always LAPACK.
+    (``count=None``) is always LAPACK. Where Lanczos applies, ``a`` may be
+    a symmetric `scipy.sparse.linalg.LinearOperator` instead of an array:
+    only its products are taken, so no n×n array is formed.
 
     Returns
     -------
@@ -127,9 +134,13 @@ def sym_eig(a: np.ndarray, count: int | None = None):
     Raises EigenFailure when LAPACK or ARPACK does not converge; an ARPACK
     failure is not retried on LAPACK.
     """
-    a = _require_symmetric(a, "matrix")
+    if isinstance(a, scipy.sparse.linalg.LinearOperator):
+        if not _lanczos_applies(a.shape[0], count):
+            raise ValueError("an operator takes the Lanczos branch only")
+    else:
+        a = _require_symmetric(a, "matrix")
     n = a.shape[0]
-    if count is not None and n >= _LANCZOS_MIN_N and count <= _LANCZOS_NCV // 2:
+    if _lanczos_applies(n, count):
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
             # ARPACK's dseupd returns the values in ascending order.

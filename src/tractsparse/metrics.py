@@ -15,6 +15,7 @@ import numpy as np
 
 from .distances import DistanceMatrix
 from .errors import LengthMismatch, SingleClusterWarning
+from .linalg import _row_strips
 from .model import Labeling
 
 
@@ -134,9 +135,14 @@ def silhouette(d: DistanceMatrix, labels):
         )
         return 0.0, scores
 
+    # Per-cluster mean distances, one strip of rows at a time: each row's
+    # mean is its own reduction, so the bits are those of whole columns.
+    members = [lab == c for c in uniq]
     mean_to = np.empty((lab.size, uniq.size))
-    for col, c in enumerate(uniq):
-        mean_to[:, col] = values[:, lab == c].mean(axis=1)
+    for i, j in _row_strips(lab.size):
+        strip = values[i:j]
+        for col, mask in enumerate(members):
+            mean_to[i:j, col] = strip[:, mask].mean(axis=1)
     items = np.arange(lab.size)
     own = mean_to[items, idx]
     mean_to[items, idx] = np.inf

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 
 from .errors import (
     DegenerateAtom,
@@ -32,6 +33,8 @@ from .errors import (
 )
 from .kernel import KernelMatrix
 from .linalg import (
+    _lanczos_applies,
+    _row_strips,
     _symmetrize,
     nnls,
     ridge_solve,
@@ -244,26 +247,48 @@ def spectral_embedding(k: KernelMatrix, n_eig: int = 10) -> np.ndarray:
 
     Uses the n_eig smallest eigenvalues of I − D^{−1/2}·K·D^{−1/2}. Only
     those min(n_eig, n) eigenpairs are computed, not the full spectrum
-    (`sym_eig`: Lanczos for large n, LAPACK's subset driver below). Each
-    vector is determined up to sign, and a near-degenerate group of them
-    only up to a rotation. k-means on the normalized rows sees neither,
-    except where rounding decides an exact distance tie.
+    (`sym_eig`: Lanczos for large n, LAPACK's subset driver below). Lanczos
+    runs on the operator x ↦ x − s∘(K·(s∘x)) with s = D^{−1/2}, so no n×n
+    Laplacian is formed, and a factored kernel takes K·y as G·(Gᵀy) and its
+    degrees as G·(Gᵀ1) without forming K either. LAPACK gets the Laplacian
+    as a dense matrix. Each vector is determined up to sign, and a
+    near-degenerate group of them only up to a rotation. k-means on the
+    normalized rows sees neither, except where rounding decides an exact
+    distance tie.
     """
-    kd = k.dense()
     n = k.n
-    deg = kd.sum(axis=1)
+    count = min(n_eig, n)
+    lanczos = _lanczos_applies(n, count)
+    if k.is_factored and lanczos:
+        g = k.factor
+
+        def product(y):
+            return g @ (g.T @ y)
+
+        deg = product(np.ones(n))
+    else:
+        kd = k.dense()
+        product = kd.__matmul__
+        deg = kd.sum(axis=1)
     if np.any(deg <= 0.0):
         bad = int(np.argmin(deg))
         raise ZeroDegreeRow(f"kernel row {bad} sums to {deg[bad]}")
     inv_sqrt = 1.0 / np.sqrt(deg)
-    # One n×n buffer; each step is the float operation of the expression
-    # (I − (D^{−1/2}·K)·D^{−1/2} + its transpose)/2, as 1 − x = (0 − x) + 1.
-    lap = inv_sqrt[:, None] * kd
-    lap *= inv_sqrt[None, :]
-    np.subtract(0.0, lap, out=lap)
-    np.fill_diagonal(lap, lap.diagonal() + 1.0)
-    _symmetrize(lap)
-    _, emb = sym_eig(lap, count=min(n_eig, n))
+    if lanczos:
+        def laplacian_times(x):
+            x = x.reshape(n)
+            return x - inv_sqrt * product(inv_sqrt * x)
+
+        lap = LinearOperator((n, n), matvec=laplacian_times, dtype=np.float64)
+    else:
+        # One n×n buffer; each step is the float operation of the expression
+        # (I − (D^{−1/2}·K)·D^{−1/2} + its transpose)/2, as 1 − x = (0 − x) + 1.
+        lap = inv_sqrt[:, None] * kd
+        lap *= inv_sqrt[None, :]
+        np.subtract(0.0, lap, out=lap)
+        np.fill_diagonal(lap, lap.diagonal() + 1.0)
+        _symmetrize(lap)
+    _, emb = sym_eig(lap, count=count)
     norms = np.linalg.norm(emb, axis=1)
     emb /= np.where(norms > 0, norms, 1.0)[:, None]
     return emb
@@ -359,7 +384,9 @@ def init_dictionary_from_labels(labels: Labeling, k: KernelMatrix) -> Dictionary
 
     The medoid of a cluster minimizes the summed squared feature-space
     distance to co-members, which needs only kernel entries. Ties go to the
-    lowest streamline index.
+    lowest streamline index. A dense kernel's K[C, C] row sums are taken one
+    strip of rows at a time, each row its own reduction, so no |C|×|C| copy
+    is held.
     """
     lab = np.asarray(labels.labels)
     if lab.size != k.n:
@@ -371,9 +398,15 @@ def init_dictionary_from_labels(labels: Labeling, k: KernelMatrix) -> Dictionary
             raise EmptyCluster(f"cluster {j} has no members")
         if k.is_factored:
             sub = k.factor[members] @ k.factor[members].T
+            diag, sums = np.diagonal(sub), sub.sum(axis=1)
         else:
-            sub = k.dense()[np.ix_(members, members)]
-        score = members.size * np.diagonal(sub) - 2.0 * sub.sum(axis=1)
+            kd = k.dense_values
+            diag = kd[members, members]
+            sums = np.concatenate([
+                kd[np.ix_(members[i:e], members)].sum(axis=1)
+                for i, e in _row_strips(members.size)
+            ])
+        score = members.size * diag - 2.0 * sums
         a[members[int(np.argmin(score))], j] = 1.0
     return Dictionary(a)
 

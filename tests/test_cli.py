@@ -11,9 +11,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from footprint import traced_peak
 from tractsparse import linalg, synth
 from tractsparse.cli import main
-from tractsparse.io import read_dm, read_km, read_labels, read_slb, write_slb
+from tractsparse.io import (
+    read_dm,
+    read_km,
+    read_labels,
+    read_slb,
+    write_km,
+    write_slb,
+)
+from tractsparse.kernel import KernelMatrix, kernel_from_distances
+from tractsparse.model import SolverConfig
 from tractsparse.distances import pairwise_distances
 from tractsparse.metrics import adjusted_rand_index, silhouette
 
@@ -112,6 +122,19 @@ def test_distances_threads_do_not_change_bytes(workdir, tmp_path):
     assert main(["distances", "--in", str(workdir / "data" / "tract.slb"),
                  "--out", str(out), "--threads", "2"]) == 0
     assert sha(out) == sha(workdir / "d.dm")
+
+
+def test_every_command_returns_freed_heap_pages(tmp_path, monkeypatch):
+    from tractsparse import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "_release_freed_heap", lambda: calls.append(True))
+    assert main(["synth", "crossing2", "--out", str(tmp_path / "data")]) == 0
+    assert main(["distances", "--in", str(tmp_path / "missing.slb"),
+                 "--out", str(tmp_path / "d.dm")]) == 3
+    assert calls == [True, True]
+    monkeypatch.undo()
+    cli._release_freed_heap()
 
 
 def test_missing_input_is_data_error(tmp_path, capsys):
@@ -228,6 +251,51 @@ def test_cluster_flag_conflicts(workdir, tmp_path, capsys):
     assert "--lambda2" in capsys.readouterr().err
     assert main(base + ["--method", "ksc", "--ep-threshold", "3"]) == 2
     assert "--ep-threshold" in capsys.readouterr().err
+    unread = [("kkm", "--lambda1"), ("ksc", "--lambda1"), ("kkm", "--lambda2"),
+              ("ksc", "--lambda2"), ("kkm", "--mu"), ("ksc", "--mu"), ("kkm", "--smax"),
+              ("gksc", "--smax"), ("gksc-manifold", "--smax")]
+    for method, flag in unread:
+        assert main(base + ["--method", method, flag, "2"]) == 2
+        assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["kkm", "ksc", "gksc", "gksc-manifold"])
+def test_cluster_unset_flags_record_solver_defaults(workdir, tmp_path, method):
+    out = tmp_path / "fit"
+    assert main(["cluster", "--in", str(workdir / "data" / "tract.slb"),
+                 "--dist", str(workdir / "d.dm"), "--method", method, "--m", "2",
+                 "--out", str(out)]) == 0
+    defaults = SolverConfig(m=2)
+    config = json.loads((out / "config.json").read_text())
+    recorded = json.loads((out / "manifest.json").read_text())["config"]
+    for key in ("s_max", "lambda1", "mu"):
+        assert config[key] == recorded[key] == getattr(defaults, key)
+
+
+@pytest.fixture(scope="module")
+def separated5(tmp_path_factory):
+    """`synth separated5 --seed 0` (n = 1000, where the partial eigensolves run
+    Lanczos) and its ``d.dm``, shared read-only."""
+    data = tmp_path_factory.mktemp("separated5")
+    assert main(["synth", "separated5", "--seed", "0", "--out", str(data)]) == 0
+    assert len(read_labels(data / "labels.txt").labels) >= linalg._LANCZOS_MIN_N
+    assert main(["distances", "--in", str(data / "tract.slb"),
+                 "--out", str(data / "d.dm")]) == 0
+    return data
+
+
+@pytest.mark.parametrize("method", ["kkm", "ksc", "gksc"])
+@pytest.mark.parametrize("p", [50, 100, 200])
+def test_cluster_nystrom_never_forms_the_kernel(separated5, tmp_path, monkeypatch,
+                                                method, p):
+    def refuse(self):
+        raise AssertionError("the factored path formed the n×n kernel")
+
+    monkeypatch.setattr(KernelMatrix, "dense", refuse)
+    out = tmp_path / "fit"
+    assert main(["cluster", "--in", str(separated5 / "tract.slb"), "--method", method,
+                 "--m", "5", "--nystrom", str(p), "--out", str(out)]) == 0
+    assert ari_files(out / "labels.txt", separated5 / "labels.txt") == 1.0
 
 
 def test_cluster_eigensolver_failure_is_numerical_error(workdir, tmp_path,
@@ -299,6 +367,42 @@ def test_cluster_same_seed_same_bytes(workdir, tmp_path):
         runs.append({p.name: sha(p) for p in out.iterdir()
                      if p.name != "manifest.json"})
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("source", ["dist", "inline"])
+def test_saved_kernel_is_the_library_kernel(separated5, tmp_path, source):
+    out = tmp_path / "fit"
+    argv = ["cluster", "--in", str(separated5 / "tract.slb"), "--method", "ksc",
+            "--m", "5", "--save-kernel", "--out", str(out)]
+    if source == "dist":
+        argv += ["--dist", str(separated5 / "d.dm")]
+    assert main(argv) == 0
+    d = read_dm(separated5 / "d.dm")
+    want = kernel_from_distances(d)
+    write_km(want, tmp_path / "want.km")
+    assert (out / "kernel.km").read_bytes() == (tmp_path / "want.km").read_bytes()
+    assert np.array_equal(d.values, read_dm(separated5 / "d.dm").values)
+
+
+def test_cluster_dist_holds_one_n_by_n_array(separated5, tmp_path):
+    n = len(read_labels(separated5 / "labels.txt").labels)
+    rc, peak = traced_peak(main, [
+        "cluster", "--in", str(separated5 / "tract.slb"),
+        "--dist", str(separated5 / "d.dm"), "--method", "ksc", "--m", "5",
+        "--out", str(tmp_path / "fit"),
+    ])
+    assert rc == 0
+    assert peak <= 1.6 * n * n * 8
+
+
+def test_metrics_dist_holds_one_n_by_n_array(separated5, tmp_path):
+    n = len(read_labels(separated5 / "labels.txt").labels)
+    rc, peak = traced_peak(main, [
+        "metrics", "--pred", str(separated5 / "labels.txt"),
+        "--dist", str(separated5 / "d.dm"), "--out", str(tmp_path / "m.json"),
+    ])
+    assert rc == 0
+    assert peak <= 1.25 * n * n * 8
 
 
 # --- metrics ----------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from footprint import random_distances
 from oracles import NAIVE_DISTANCES, naive_ep, naive_hausdorff, naive_mcp
 
 from tractsparse import (
@@ -203,6 +204,22 @@ def test_distance_matrix_validation():
         DistanceMatrix(2, np.array([[0.5, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         DistanceMatrix(3, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_distance_matrix_rejects_non_finite_entries(bad):
+    vals = random_distances(300).values.copy()
+    vals[250, 40] = vals[40, 250] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        DistanceMatrix(300, vals)
+
+
+@pytest.mark.parametrize("i, j", [(1, 0), (598, 599), (599, 3)])
+def test_distance_matrix_finds_asymmetry_in_any_strip(i, j):
+    vals = random_distances(600).values.copy()
+    vals[i, j] += 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        DistanceMatrix(600, vals)
 
 
 @pytest.mark.parametrize("name", ["mcp", "haus", "ep"])

@@ -237,6 +237,16 @@ def test_read_dm_holds_at_most_triangle_and_matrix(tmp_path):
     assert peak <= 1.6 * n * n * 8
 
 
+def test_read_dm_holds_the_matrix_and_one_row(tmp_path):
+    n = 1000
+    d = random_distances(n, seed=1)
+    path = tmp_path / "d.dm"
+    write_dm(d, path)
+    back, peak = traced_peak(read_dm, path)
+    assert np.array_equal(back.values, d.values)
+    assert peak <= 1.1 * n * n * 8
+
+
 def test_distance_matrix_constructor_copies_caller_array():
     vals = random_distances(5).values.copy()
     d = DistanceMatrix(n=5, values=vals)

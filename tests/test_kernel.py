@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from tractsparse.distances import DistanceMatrix
 from tractsparse.errors import AllZeroDistances, RankDeficientWarning
 from tractsparse.kernel import (
     KernelMatrix,
+    _kernel_in_distance_buffer,
     _nystrom_factor,
     kernel_from_distances,
     nystrom_kernel,
@@ -130,6 +132,38 @@ def test_kernel_from_distances_zero_fallback():
     with pytest.warns(UserWarning, match="gamma=1"):
         k = kernel_from_distances(distance_matrix_from(np.zeros((3, 3))))
     assert k.gamma == 1.0
+
+
+def _majority_zero(n):
+    values = np.zeros((n, n))
+    values[0, 1:] = values[1:, 0] = 3.0
+    return values
+
+
+@pytest.mark.parametrize("values", [
+    random_distances(2).values,
+    random_distances(7).values,
+    random_distances(950, seed=3).values,
+    _majority_zero(9),
+    np.zeros((4, 4)),
+], ids=["n2", "n7", "lanczos-sized", "majority-zero", "all-zero"])
+def test_kernel_in_distance_buffer_is_kernel_from_distances(values):
+    d = distance_matrix_from(values)
+    with warnings.catch_warnings(record=True) as want_warned:
+        warnings.simplefilter("always")
+        want = kernel_from_distances(d)
+    with warnings.catch_warnings(record=True) as got_warned:
+        warnings.simplefilter("always")
+        got = _kernel_in_distance_buffer(distance_matrix_from(values))
+    assert np.array_equal(got.dense_values, want.dense_values)
+    assert (got.gamma, got.shift) == (want.gamma, want.shift)
+    assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
+    assert np.array_equal(d.values, values)
+
+
+def test_kernel_in_distance_buffer_needs_two_streamlines():
+    with pytest.raises(ValueError, match="at least 2"):
+        _kernel_in_distance_buffer(distance_matrix_from(np.zeros((1, 1))))
 
 
 def test_kernel_invariant_under_power_of_two_scaling():

@@ -175,6 +175,21 @@ def test_silhouette_matches_naive_oracle():
         assert mean == pytest.approx(want, abs=1e-12)
 
 
+def test_silhouette_strip_means_are_the_whole_column_means():
+    rng = np.random.default_rng(8)
+    n = 700
+    d = random_distance_matrix(rng, n)
+    labels = rng.choice(4, size=n, p=[0.7, 0.2, 0.08, 0.02])
+    _, per_item = silhouette(d, labels)
+    uniq, idx, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    mean_to = np.stack([d.values[:, labels == c].mean(axis=1) for c in uniq], axis=1)
+    items = np.arange(n)
+    a = mean_to[items, idx] * counts[idx] / (counts[idx] - 1)
+    mean_to[items, idx] = np.inf
+    b = mean_to.min(axis=1)
+    assert np.array_equal(per_item, (b - a) / np.maximum(a, b))
+
+
 def test_silhouette_singleton_scores_zero():
     d = random_distance_matrix(np.random.default_rng(7), 5)
     labels = np.array([0, 0, 0, 0, 1])

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from footprint import random_distances, traced_peak
 from oracles import column_pursuit, nnls_on_support, reference_lloyd
@@ -194,9 +195,20 @@ def test_spectral_init_lanczos_labels_match_lapack_embedding(lanczos_sized_kerne
     assert np.array_equal(np.asarray(got.labels), want)
 
 
-def test_spectral_embedding_laplacian_is_the_formula_built_in_one_buffer(monkeypatch):
+def _formula_laplacian(kd):
+    inv_sqrt = 1.0 / np.sqrt(kd.sum(axis=1))
+    lap = np.eye(kd.shape[0]) - inv_sqrt[:, None] * kd * inv_sqrt[None, :]
+    return (lap + lap.T) / 2.0
+
+
+@pytest.mark.parametrize("form", ["dense", "factored"])
+def test_spectral_embedding_operator_is_the_formula_laplacian(monkeypatch, form):
     n = 1000
-    k = kernel_from_distances(random_distances(n, seed=2))
+    if form == "dense":
+        k = kernel_from_distances(random_distances(n, seed=2))
+    else:
+        g = np.random.default_rng(2).uniform(0.0, 1.0, size=(n, 30))
+        k = KernelMatrix(n, 1.0, 0.0, factor=g)
     seen = []
     real = solvers.sym_eig
 
@@ -205,12 +217,33 @@ def test_spectral_embedding_laplacian_is_the_formula_built_in_one_buffer(monkeyp
         return real(a, count)
 
     monkeypatch.setattr(solvers, "sym_eig", capture)
+    spectral_embedding(k, 5)
+    assert isinstance(seen[0], scipy.sparse.linalg.LinearOperator)
+    x = np.random.default_rng(3).standard_normal(n)
+    want = _formula_laplacian(k.dense()) @ x
+    assert np.linalg.norm(seen[0] @ x - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_spectral_embedding_holds_no_n_by_n_array():
+    n = 1000
+    k = kernel_from_distances(random_distances(n, seed=2))
     _, peak = traced_peak(spectral_embedding, k, 5)
-    kd = k.dense()
-    inv_sqrt = 1.0 / np.sqrt(kd.sum(axis=1))
-    lap = np.eye(n) - inv_sqrt[:, None] * kd * inv_sqrt[None, :]
-    assert np.array_equal(seen[0], (lap + lap.T) / 2.0)
-    assert peak <= 1.6 * n * n * 8
+    assert peak <= 0.1 * n * n * 8
+
+
+def test_spectral_embedding_below_lanczos_size_solves_the_dense_laplacian(monkeypatch):
+    n = linalg._LANCZOS_MIN_N - 1
+    k = kernel_from_distances(random_distances(n, seed=4))
+    seen = []
+    real = solvers.sym_eig
+
+    def capture(a, count=None):
+        seen.append(a)
+        return real(a, count)
+
+    monkeypatch.setattr(solvers, "sym_eig", capture)
+    spectral_embedding(k, 5)
+    assert np.array_equal(seen[0], _formula_laplacian(k.dense()))
 
 
 def test_spectral_embedding_zero_degree_row():
@@ -245,6 +278,19 @@ def test_medoid_init_matches_naive_feature_medoid():
         picked = int(np.flatnonzero(d.a[:, j])[0])
         assert picked == expected
         assert d.a[picked, j] == 1.0
+
+
+def test_dense_medoid_row_sums_by_strips_are_the_whole_block_sums():
+    n = 900
+    k = kernel_from_distances(random_distances(n, seed=5))
+    truth = np.random.default_rng(5).choice(3, size=n, p=[0.8, 0.15, 0.05])
+    d = init_dictionary_from_labels(Labeling(truth, m=3), k)
+    kd = k.dense()
+    for j in range(3):
+        members = np.flatnonzero(truth == j)
+        sub = kd[np.ix_(members, members)]
+        score = members.size * np.diagonal(sub) - 2.0 * sub.sum(axis=1)
+        assert d.a[members[int(np.argmin(score))], j] == 1.0
 
 
 def test_medoid_init_is_selection_matrix():
