@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import dataclasses
 import json
 import sys
@@ -343,6 +342,7 @@ def cmd_metrics(args) -> int:
 
     with timer.stage("compute"):
         report = compute_metrics(truth, pred, d)
+    del d  # the matrix is not held while the manifest hashes the inputs
     payload_json = report.to_json() if truth is not None else json.dumps(
         {"silhouette": report.silhouette, "cluster_sizes": report.cluster_sizes},
         indent=2, sort_keys=True,
@@ -532,25 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _release_freed_heap():
-    """Return the pages of freed heap memory to the operating system (glibc).
-
-    Once the first n×n array is freed, glibc serves arrays up to that size
-    from the heap and keeps up to twice that much freed heap resident. A
-    process that calls `main` for several commands in turn would then carry
-    one command's freed matrix into the next as resident memory whenever
-    smaller allocations split it first. Without ``malloc_trim`` (other C
-    libraries) this does nothing.
-    """
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return
-    trim.argtypes = [ctypes.c_size_t]
-    trim.restype = ctypes.c_int
-    trim(0)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -572,8 +553,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    finally:
-        _release_freed_heap()
 
 
 if __name__ == "__main__":

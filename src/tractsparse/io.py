@@ -75,10 +75,8 @@ def _atomic_write_text(path, text: str):
 
 def sha256_file(path) -> str:
     h = hashlib.sha256()
-    # 256 KiB pieces: two are live at a time, beside whatever matrix the
-    # command holds while it writes its manifest.
     with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 18), b""):
+        for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
 

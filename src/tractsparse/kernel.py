@@ -91,7 +91,20 @@ def select_gamma(d: DistanceMatrix) -> float:
         raise ValueError("need at least 2 streamlines to select gamma")
     # The off-diagonal entries are the strict upper triangle twice over, and
     # doubling a multiset keeps its median, to the bit.
-    return _width_from_upper(np.concatenate([d.values[i, i + 1 :] for i in range(d.n - 1)]))
+    return _width_from_upper(_pack_upper(d.values, np.empty(d.n * (d.n - 1) // 2)))
+
+
+def _pack_upper(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Copy the strict upper triangle row by row to the front of 1-D ``out``.
+
+    ``out`` may be ``values``' own buffer: no row is overwritten before it
+    is read. Returns the packed front of ``out``.
+    """
+    n, at = values.shape[0], 0
+    for i in range(n - 1):
+        out[at : at + n - 1 - i] = values[i, i + 1 :]
+        at += n - 1 - i
+    return out[:at]
 
 
 def _width_from_upper(off: np.ndarray) -> float:
@@ -200,11 +213,11 @@ def _kernel_in_distance_buffer(d: DistanceMatrix) -> KernelMatrix:
 
     Only for a DistanceMatrix its caller made and drops at once: the buffer
     is unfrozen and overwritten, so d holds kernel values afterwards, and
-    no second n×n or half-size array is made. For γ the strict upper
-    triangle is packed row by row at the front of the buffer, in
-    `select_gamma`'s order, and a copy right behind it is partitioned. The
-    rows are then unpacked from the last one back and mirrored, which
-    restores the distances before the kernel overwrites them.
+    no second n×n or half-size array is made. For γ, `select_gamma`'s
+    triangle is packed at the front of the buffer and a copy right behind
+    it is partitioned; the rows are then unpacked from the last one back
+    and mirrored, which restores the distances before the kernel
+    overwrites them.
     """
     n = d.n
     if n < 2:
@@ -212,10 +225,7 @@ def _kernel_in_distance_buffer(d: DistanceMatrix) -> KernelMatrix:
     values = d.values
     values.flags.writeable = True
     flat = values.reshape(-1)
-    at = 0
-    for i in range(n - 1):
-        flat[at : at + n - 1 - i] = values[i, i + 1 :]
-        at += n - 1 - i
+    at = _pack_upper(values, flat).size
     flat[at : 2 * at] = flat[:at]
     gamma = _gamma_or_one(_width_from_upper, flat[at : 2 * at])
     for i in reversed(range(n - 1)):

@@ -134,10 +134,7 @@ def sym_eig(a, count: int | None = None):
     Raises EigenFailure when LAPACK or ARPACK does not converge; an ARPACK
     failure is not retried on LAPACK.
     """
-    if isinstance(a, scipy.sparse.linalg.LinearOperator):
-        if not _lanczos_applies(a.shape[0], count):
-            raise ValueError("an operator takes the Lanczos branch only")
-    else:
+    if not isinstance(a, scipy.sparse.linalg.LinearOperator):
         a = _require_symmetric(a, "matrix")
     n = a.shape[0]
     if _lanczos_applies(n, count):

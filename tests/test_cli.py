@@ -124,19 +124,6 @@ def test_distances_threads_do_not_change_bytes(workdir, tmp_path):
     assert sha(out) == sha(workdir / "d.dm")
 
 
-def test_every_command_returns_freed_heap_pages(tmp_path, monkeypatch):
-    from tractsparse import cli
-
-    calls = []
-    monkeypatch.setattr(cli, "_release_freed_heap", lambda: calls.append(True))
-    assert main(["synth", "crossing2", "--out", str(tmp_path / "data")]) == 0
-    assert main(["distances", "--in", str(tmp_path / "missing.slb"),
-                 "--out", str(tmp_path / "d.dm")]) == 3
-    assert calls == [True, True]
-    monkeypatch.undo()
-    cli._release_freed_heap()
-
-
 def test_missing_input_is_data_error(tmp_path, capsys):
     rc = main(["distances", "--in", str(tmp_path / "ghost.slb"),
                "--out", str(tmp_path / "x.dm")])
