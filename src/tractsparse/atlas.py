@@ -210,8 +210,8 @@ def load_atlas(path) -> Atlas:
     if not params_file.is_file():
         raise FormatError(f"{root}: not an atlas directory (kernel.json missing)")
     try:
-        params = json.loads(params_file.read_text())
-    except json.JSONDecodeError as exc:
+        params = json.loads(params_file.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{params_file}: {exc}") from exc
     if not isinstance(params, dict):
         raise FormatError(f"{params_file}: expected a JSON object")

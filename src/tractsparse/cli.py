@@ -137,8 +137,8 @@ def _write_manifest(where, command, config, inputs, outputs, timer, extra=None):
 
 def _specs_from_file(path):
     try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     entries = raw.get("specs") if isinstance(raw, dict) else raw
     if not isinstance(entries, list) or not entries:
@@ -297,7 +297,7 @@ def cmd_cluster(args) -> int:
             result = gksc_fit(k, cfg, init)
         else:
             with _flag_values():
-                graph = build_endpoint_graph(tract, ep_threshold)
+                graph = build_endpoint_graph(tract, ep_threshold, threads=args.threads)
             result = gksc_fit(k, cfg, init, laplacian=graph_laplacian(graph))
 
     out = Path(args.out)
@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads", type=_threads, default=None,
             help="worker threads for distance computation "
-                 "(default: $TRACTSPARSE_THREADS or 1)",
+                 "(default: $TRACTSPARSE_THREADS, else the usable CPUs)",
         )
 
     p = sub.add_parser("synth", help="generate a synthetic tractogram")

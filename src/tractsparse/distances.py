@@ -24,11 +24,18 @@ are exact in any order; sums are not. A directed mean adds its point minima
 in point order q = 0, 1, ..., as the scalar loop does, and never through
 NumPy's pairwise summation, which regroups runs of 8 or more values. Tiles
 write disjoint blocks, so worker threads share them without changing a bit.
+
+The calling thread allocates one cdist buffer per worker, sized to the
+largest block, before any work starts, and every block is written into its
+worker's buffer. Pool threads then never allocate a block, so their own
+allocator heaps do not each keep one resident, and the calling thread works
+through a share of the blocks itself.
 """
 
 from __future__ import annotations
 
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -146,16 +153,23 @@ def dist_ep(a: Streamline, b: Streamline) -> float:
 
 
 def _resolve_threads(threads: int | None) -> int:
-    """Worker count: ``threads``, else $TRACTSPARSE_THREADS, else 1.
+    """Worker count: ``threads``, else $TRACTSPARSE_THREADS, else the usable CPUs.
 
-    An empty variable counts as unset. A count below 1, or a variable that
-    is not an integer, raises ValueError naming where it came from.
+    The usable CPUs are those the process may run on
+    (``os.sched_getaffinity``), or ``os.cpu_count()`` where that call does
+    not exist. An empty variable counts as unset. A count below 1, or a
+    variable that is not an integer, raises ValueError naming where it came
+    from.
     """
     if threads is not None:
         if threads < 1:
             raise ValueError(f"threads must be a positive integer, got {threads}")
         return int(threads)
-    raw = os.environ.get("TRACTSPARSE_THREADS") or "1"
+    raw = os.environ.get("TRACTSPARSE_THREADS")
+    if not raw:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     try:
         threads = int(raw)
     except ValueError:
@@ -247,14 +261,16 @@ def _cross_tiles(a: Tractogram, b: Tractogram, measure: str) -> tuple[list, list
     return _tiles(a, measure, wide), _tiles(b, measure)
 
 
-def _block(a: _Tile, b: _Tile, measure: str) -> np.ndarray:
+def _block(a: _Tile, b: _Tile, measure: str, buf: np.ndarray) -> np.ndarray:
     """Symmetrized distances between two tiles from one cdist block.
 
-    Minima over b's points give every a -> b direction, minima over a's
-    points the reverse, so each point block serves both. ``near``, private
-    to the endpoint graph, is each pair's smallest point distance.
+    The point block is written into the front of the flat ``buf``. Minima
+    over b's points give every a -> b direction, minima over a's points the
+    reverse, so each point block serves both. ``near``, private to the
+    endpoint graph, is each pair's smallest point distance.
     """
-    d = cdist(a.points, b.points)
+    size = a.points.shape[0] * b.points.shape[0]
+    d = cdist(a.points, b.points, out=buf[:size].reshape(-1, b.points.shape[0]))
     to_b = b.fold(np.minimum, d.T)  # streamline of b x point of a
     if measure == "near":
         return a.fold(np.minimum, to_b.T)
@@ -268,14 +284,22 @@ def _block(a: _Tile, b: _Tile, measure: str) -> np.ndarray:
     return (a_to_b + b_to_a.T) / 2.0
 
 
+# Tile pairs per worker below which a matrix is assembled in the calling
+# thread alone: a pool costs more than it saves on a handful of blocks, such
+# as a new subject against a small atlas.
+_PAIRS_PER_WORKER = 8
+
+
 def _assemble(rows: list, cols: list | None, measure: str, threads: int):
     """Distance matrix between two tile lists, one block per tile pair.
 
     With ``cols`` None the matrix is square over ``rows``: only the upper
     triangle of tile pairs is computed and each block is mirrored. Blocks
-    are disjoint, so threads share them in any order without changing a
-    bit, and consecutive chunks of the flat pair list spread the
-    triangle's uneven rows evenly.
+    are disjoint, so workers share them in any order without changing a
+    bit. Each worker takes chunks of consecutive pairs from one queue, which
+    spreads the triangle's uneven rows evenly, and writes every cdist block
+    into its own buffer, allocated here. The calling thread is one of the
+    workers; a pool runs the others.
     """
     square = cols is None
     cols = rows if square else cols
@@ -285,21 +309,34 @@ def _assemble(rows: list, cols: list | None, measure: str, threads: int):
         for k, a in enumerate(rows)
         for b in (cols[k:] if square else cols)
     ]
+    workers = max(1, min(threads, len(pairs) // _PAIRS_PER_WORKER))
+    size = max(a.points.shape[0] * b.points.shape[0] for a, b in pairs)
+    buffers = [np.empty(size) for _ in range(workers)]
+    step = -(-len(pairs) // (workers * 8))
+    todo = queue.SimpleQueue()
+    for k in range(0, len(pairs), step):
+        todo.put(pairs[k : k + step])
 
-    def run(chunk):
-        for a, b in chunk:
-            block = _block(a, b, measure)
-            out[np.ix_(a.ids, b.ids)] = block
-            if square:
-                out[np.ix_(b.ids, a.ids)] = block.T
+    def work(buf):
+        while True:
+            try:
+                chunk = todo.get_nowait()
+            except queue.Empty:
+                return
+            for a, b in chunk:
+                block = _block(a, b, measure, buf)
+                out[np.ix_(a.ids, b.ids)] = block
+                if square:
+                    out[np.ix_(b.ids, a.ids)] = block.T
 
-    if threads == 1 or len(pairs) < 2 * threads:
-        run(pairs)
+    if workers == 1:
+        work(buffers[0])
     else:
-        step = -(-len(pairs) // (threads * 8))
-        chunks = [pairs[k : k + step] for k in range(0, len(pairs), step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, chunks))
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            futures = [pool.submit(work, buf) for buf in buffers[1:]]
+            work(buffers[0])
+            for future in futures:
+                future.result()
     return out
 
 
@@ -317,8 +354,11 @@ def pairwise_distances(
     t : Tractogram
     measure : {"mcp", "haus", "ep"}
     threads : int or None
-        Worker threads sharing the tiles. None reads TRACTSPARSE_THREADS
-        (default 1). The result is bitwise identical for any thread count.
+        Worker threads sharing the tiles. None reads TRACTSPARSE_THREADS,
+        and takes the usable CPUs when it is unset or empty (see
+        `_resolve_threads`). A matrix of fewer than ``_PAIRS_PER_WORKER``
+        tile pairs per worker runs on fewer threads. The result is bitwise
+        identical for any thread count.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
@@ -337,7 +377,9 @@ def cross_distances(
     pass over the a × b point blocks serves both directions. Blocks are
     bounded by point pairs, not by points per side (see `_cross_tiles`), so
     against m streamlines of P points in all it runs about one block per
-    ``_TILE_POINTS``²/P points of the other side.
+    ``_TILE_POINTS``²/P points of the other side. ``threads`` is as in
+    `pairwise_distances`; a new subject against a small atlas makes too
+    few blocks for a pool, so it runs in the calling thread.
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
@@ -348,18 +390,21 @@ def cross_distances(
 
 
 def build_endpoint_graph(
-    t: Tractogram, threshold_mm: float = DEFAULT_ENDPOINT_THRESHOLD_MM
+    t: Tractogram,
+    threshold_mm: float = DEFAULT_ENDPOINT_THRESHOLD_MM,
+    threads: int | None = 1,
 ) -> EndpointGraph:
     """Connect streamline pairs whose closest endpoints lie under a threshold.
 
     Edge rule: the minimum over the four endpoint pairings of (i, j) must be
     strictly below ``threshold_mm``. Self-loops are never added. The minima
-    come from the distance tile driver over endpoints, exact in any order.
+    come from the distance tile driver over endpoints, exact in any order,
+    so the graph is the same for any ``threads`` (as in `pairwise_distances`).
     """
     if not 0 < threshold_mm < np.inf:
         raise ValueError(f"threshold_mm must be finite and positive, got {threshold_mm}")
     validate_tractogram(t)
-    adj = _assemble(_tiles(t, "near"), None, "near", 1) < threshold_mm
+    adj = _assemble(_tiles(t, "near"), None, "near", _resolve_threads(threads)) < threshold_mm
     np.fill_diagonal(adj, 0)
     return EndpointGraph(adjacency=adj, threshold_mm=float(threshold_mm))
 

@@ -81,6 +81,16 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+@contextlib.contextmanager
+def _open_text(path):
+    """A UTF-8 text file open for reading; undecodable bytes raise FormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            yield f
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def _fmt(v) -> str:
     """Shortest decimal that round-trips the float64 exactly."""
     return repr(float(v))
@@ -102,7 +112,7 @@ def write_sl(t: Tractogram, path):
 def read_sl(path) -> Tractogram:
     blocks = []
     current = []
-    with open(path, "r", encoding="utf-8") as f:
+    with _open_text(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if line.startswith("#"):
@@ -248,7 +258,7 @@ def write_labels(lab: Labeling, path):
 
 def read_labels(path, m: int | None = None) -> Labeling:
     values = []
-    with open(path, "r", encoding="utf-8") as f:
+    with _open_text(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -371,7 +381,7 @@ def write_dense_csv(arr, path):
 
 def read_dense_csv(path) -> np.ndarray:
     rows = []
-    with open(path, "r", encoding="utf-8") as f:
+    with _open_text(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -402,7 +412,7 @@ def write_sparse_csv(arr, path):
 
 def read_sparse_csv(path, shape) -> np.ndarray:
     out = np.zeros(shape)
-    with open(path, "r", encoding="utf-8") as f:
+    with _open_text(path) as f:
         header = f.readline().strip()
         if header != "row,col,value":
             raise FormatError(f"{path}: expected triplet header, got {header!r}")

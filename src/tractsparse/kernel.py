@@ -17,7 +17,7 @@ import numpy as np
 from .distances import MEASURES, DistanceMatrix, cross_distances, pairwise_distances
 from .errors import AllZeroDistances, RankDeficientWarning
 from .linalg import _symmetric_within, sym_eig
-from .model import Tractogram, _adopt, _frozen_array, validate_tractogram
+from .model import _KNOWN_SYMMETRIC, Tractogram, _adopt, _frozen_array, validate_tractogram
 
 _EIG_FLOOR_REL = 1e-10
 
@@ -46,7 +46,7 @@ class KernelMatrix:
             k = np.asarray(self.dense_values, dtype=np.float64)
             if k.shape != (self.n, self.n):
                 raise ValueError(f"dense kernel must be ({self.n}, {self.n})")
-            if not _symmetric_within(k, 1e-12):
+            if not _KNOWN_SYMMETRIC.get() and not _symmetric_within(k, 1e-12):
                 raise ValueError("dense kernel must be symmetric within 1e-12")
             object.__setattr__(self, "dense_values", _frozen_array(k))
         else:
@@ -154,9 +154,12 @@ def _shifted_rbf(
 ) -> KernelMatrix:
     """Dense exp(−γ·d²) + shift·I, built in a single n×n array.
 
-    ``out`` is as in `_rbf_values`. With ``shift`` None the shift is
-    `_psd_shift` of the unshifted kernel. The shift is added to the
-    diagonal alone, which gives the same floats as adding shift·I.
+    ``d`` is a DistanceMatrix's values, exactly symmetric, so the kernel,
+    an elementwise function of them, is exactly symmetric as well and is
+    adopted without a second symmetry check. ``out`` is as in
+    `_rbf_values`. With ``shift`` None the shift is `_psd_shift` of the
+    unshifted kernel. The shift is added to the diagonal alone, which gives
+    the same floats as adding shift·I.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -166,8 +169,8 @@ def _shifted_rbf(
     if shift:
         np.fill_diagonal(values, values.diagonal() + shift)
     return _adopt(
-        KernelMatrix, n=values.shape[0], gamma=float(gamma), shift=shift,
-        dense_values=values,
+        KernelMatrix, known_symmetric=True, n=values.shape[0], gamma=float(gamma),
+        shift=shift, dense_values=values,
     )
 
 

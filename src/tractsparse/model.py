@@ -21,6 +21,9 @@ from .errors import (
 
 # True while `_adopt` builds an object around arrays the package just made.
 _ADOPTING = contextvars.ContextVar("tractsparse_adopting", default=False)
+# True while the square array `_adopt` hands over is exactly symmetric by
+# construction, so the constructor need not check it again.
+_KNOWN_SYMMETRIC = contextvars.ContextVar("tractsparse_known_symmetric", default=False)
 
 
 def _frozen_array(values, dtype=np.float64):
@@ -33,18 +36,21 @@ def _frozen_array(values, dtype=np.float64):
     return arr
 
 
-def _adopt(cls, **fields):
+def _adopt(cls, known_symmetric=False, **fields):
     """Build ``cls`` around arrays the caller has just made and hands over.
 
     Those arrays are frozen in place instead of copied, so a fresh n×n
     matrix is held once. The public constructors keep copying, so a
-    caller's own array is never frozen behind their back.
+    caller's own array is never frozen behind their back. With
+    ``known_symmetric`` the caller vouches that its square array is exactly
+    symmetric, and the constructor skips its symmetry check.
     """
-    token = _ADOPTING.set(True)
+    adopting, symmetric = _ADOPTING.set(True), _KNOWN_SYMMETRIC.set(known_symmetric)
     try:
         return cls(**fields)
     finally:
-        _ADOPTING.reset(token)
+        _KNOWN_SYMMETRIC.reset(symmetric)
+        _ADOPTING.reset(adopting)
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,15 @@ def test_unknown_version_rejected(tmp_path, built):
         load_atlas(out)
 
 
+def test_undecodable_params_are_format_error(tmp_path, built):
+    _, _, atlas, _ = built
+    out = save_atlas(atlas, tmp_path / "pop.atlas")
+    text = (out / "kernel.json").read_bytes()
+    (out / "kernel.json").write_bytes(text[:20] + b"\xff" + text[20:])
+    with pytest.raises(FormatError, match="kernel.json"):
+        load_atlas(out)
+
+
 def test_unknown_measure_rejected(tmp_path, built):
     _, _, atlas, _ = built
     out = save_atlas(atlas, tmp_path / "pop.atlas")

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from footprint import traced_peak
-from tractsparse import linalg, synth
+from tractsparse import cli, distances, linalg, synth
 from tractsparse.cli import main
+from tractsparse.errors import FormatError
 from tractsparse.io import (
     read_dm,
     read_km,
@@ -99,6 +100,9 @@ def test_synth_bad_spec_file_is_data_error(tmp_path, capsys):
     bad.write_text('[{"template": "dodecahedron"}]')
     assert main(["synth", str(bad), "--out", str(tmp_path / "x")]) == 3
     capsys.readouterr()
+    bad.write_bytes(b'[{"template": "\xff"}]')
+    assert main(["synth", str(bad), "--out", str(tmp_path / "x")]) == 3
+    assert f"{bad}: 'utf-8' codec can't decode" in capsys.readouterr().err
 
 
 # --- distances --------------------------------------------------------------
@@ -129,6 +133,20 @@ def test_missing_input_is_data_error(tmp_path, capsys):
                "--out", str(tmp_path / "x.dm")])
     capsys.readouterr()
     assert rc == 3
+
+
+def test_undecodable_labels_exit_3_through_data_error(workdir, tmp_path, capsys,
+                                                     monkeypatch):
+    pred = tmp_path / "pred.txt"
+    pred.write_bytes(b"0\n1\n\xff\n")
+    argv = ["metrics", "--pred", str(pred), "--truth", str(workdir / "data" / "labels.txt")]
+    assert main(argv) == 3
+    assert f"{pred}: not UTF-8 text" in capsys.readouterr().err
+    # with the DataError branch disabled, the exit-3 catch-all of ValueError
+    # (a bare UnicodeDecodeError is one) does not catch it
+    monkeypatch.setattr(cli, "DataError", type("Unrelated", (Exception,), {}))
+    with pytest.raises(FormatError):
+        main(argv)
 
 
 @pytest.fixture(scope="module")
@@ -576,12 +594,21 @@ def test_threads_env_default(workdir, tmp_path, monkeypatch):
     assert sha(out) == sha(workdir / "d.dm")
 
 
-def test_threads_env_empty_means_one_thread(workdir, tmp_path, monkeypatch):
-    monkeypatch.setenv("TRACTSPARSE_THREADS", "")
-    out = tmp_path / "d_empty.dm"
+@pytest.mark.parametrize("env", [None, ""], ids=["unset", "empty"])
+def test_threads_env_unset_or_empty_means_usable_cpus(workdir, tmp_path, monkeypatch,
+                                                      env):
+    if env is None:
+        monkeypatch.delenv("TRACTSPARSE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("TRACTSPARSE_THREADS", env)
+    monkeypatch.setattr(distances.os, "sched_getaffinity", lambda pid: {0, 1, 3},
+                        raising=False)
+    out = tmp_path / "d_default.dm"
     assert main(["distances", "--in", str(workdir / "data" / "tract.slb"),
                  "--out", str(out)]) == 0
     assert sha(out) == sha(workdir / "d.dm")
+    manifest = json.loads((tmp_path / "d_default.dm.manifest.json").read_text())
+    assert manifest["config"]["threads"] == 3
 
 
 def test_threads_env_garbage_is_usage_error(workdir, tmp_path, monkeypatch, capsys):

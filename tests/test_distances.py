@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -187,6 +189,23 @@ def test_pairwise_threads_env_var_garbage_names_variable(monkeypatch):
         pairwise_distances(t, "mcp", threads=None)
 
 
+@pytest.mark.parametrize("env", [None, ""])
+def test_unset_threads_default_to_usable_cpus(monkeypatch, env):
+    if env is None:
+        monkeypatch.delenv("TRACTSPARSE_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("TRACTSPARSE_THREADS", env)
+    monkeypatch.setattr(distances.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert distances._resolve_threads(None) == 3
+    # where the affinity call does not exist, the CPU count stands in
+    monkeypatch.delattr(distances.os, "sched_getaffinity")
+    monkeypatch.setattr(distances.os, "cpu_count", lambda: 6)
+    assert distances._resolve_threads(None) == 6
+    monkeypatch.setattr(distances.os, "cpu_count", lambda: None)
+    assert distances._resolve_threads(None) == 1
+    assert distances._resolve_threads(2) == 2
+
+
 def test_pairwise_rejects_empty_and_bad_measure():
     with pytest.raises(EmptyTractogram):
         pairwise_distances(Tractogram(()))
@@ -301,12 +320,13 @@ def test_threads_over_many_tiles_bitwise_identical(name):
 
     rng = np.random.default_rng(45)
     if name == "ep":  # two points per streamline: a tile holds hundreds
-        ta, tb = random_tractogram(rng, 800), random_tractogram(rng, 300)
+        ta, tb = random_tractogram(rng, 2100), random_tractogram(rng, 1100)
     else:
-        ta, tb = random_tractogram(rng, 9, **LONG), random_tractogram(rng, 7, **LONG)
+        ta, tb = random_tractogram(rng, 18, **LONG), random_tractogram(rng, 8, **LONG)
     # enough tile pairs that every worker count below uses the pool
     n_a, n_b = len(_tiles(ta, name)), len(_tiles(tb, name))
-    assert n_a * (n_a + 1) // 2 >= 8 and n_a * n_b >= 8
+    enough = 4 * distances._PAIRS_PER_WORKER
+    assert n_a * (n_a + 1) // 2 >= enough and n_a * n_b >= enough
     square = pairwise_distances(ta, name, threads=1).values
     block = cross_distances(ta, tb, name, threads=1)
     for workers in (2, 3, 4):
@@ -317,14 +337,77 @@ def test_threads_over_many_tiles_bitwise_identical(name):
 
 
 class BlockRecorder:
-    """Stands in for ``distances.cdist`` and keeps each block's shape."""
+    """Stands in for ``distances.cdist``; keeps each block's shape and buffer."""
 
     def __init__(self):
         self.shapes = []
+        self.buffers = []
 
-    def __call__(self, xa, xb):
+    def __call__(self, xa, xb, out=None):
         self.shapes.append((len(xa), len(xb)))
-        return cdist(xa, xb)
+        self.buffers.append(None if out is None else out.base)
+        return cdist(xa, xb, out=out)
+
+
+class PoolRecorder:
+    """Stands in for ``distances.ThreadPoolExecutor`` and keeps its sizes."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __call__(self, max_workers):
+        self.sizes.append(max_workers)
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_workers_write_blocks_into_buffers_the_caller_allocates(workers, monkeypatch):
+    rng = np.random.default_rng(48)
+    t = random_tractogram(rng, 16, **LONG)
+    tiles = len(distances._tiles(t, "mcp"))
+    pairs = tiles * (tiles + 1) // 2
+    assert pairs >= workers * distances._PAIRS_PER_WORKER
+    ref = pairwise_distances(t, "mcp", threads=1).values
+    rec, pool = BlockRecorder(), PoolRecorder()
+    monkeypatch.setattr(distances, "cdist", rec)
+    monkeypatch.setattr(distances, "ThreadPoolExecutor", pool)
+    got = pairwise_distances(t, "mcp", threads=workers).values
+    monkeypatch.undo()
+    assert np.array_equal(got, ref)
+    # the calling thread is one worker, the pool runs the others
+    assert pool.sizes == [workers - 1]
+    assert len(rec.shapes) == pairs and all(b is not None for b in rec.buffers)
+    assert len({id(b) for b in rec.buffers}) <= workers
+
+
+def test_more_workers_than_cores_with_fast_switching_fill_every_entry():
+    # a chunk lost or taken twice between workers would leave entries of the
+    # uninitialized output or break the bits
+    rng = np.random.default_rng(49)
+    t = random_tractogram(rng, 40, **LONG)
+    ref = pairwise_distances(t, "haus", threads=1).values
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = pairwise_distances(t, "haus", threads=7).values
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, ref)
+
+
+def test_small_cross_block_stays_in_the_calling_thread(monkeypatch):
+    from tractsparse.distances import cross_distances
+
+    atoms = Tractogram(synth.preset_separated5(seed=1, total_count=200)[0].streamlines[::40])
+    new, _ = synth.preset_separated5(seed=2, total_count=1000)
+    assert len(atoms) == 5
+    ref = cross_distances(atoms, new, "mcp", threads=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(distances, "ThreadPoolExecutor", no_pool)
+    assert np.array_equal(cross_distances(atoms, new, "mcp", threads=2), ref)
 
 
 def small_and_large(rng, name):
@@ -438,6 +521,19 @@ def test_endpoint_graph_multi_tile_matches_brute_force(threshold):
     expected = np.diag(g.degree) - want
     assert lap.dtype == np.float64
     assert lap.tobytes() == expected.astype(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("n, pool_sizes", [(600, []), (2000, [2])])
+def test_endpoint_graph_threads_bitwise_identical(n, pool_sizes, monkeypatch):
+    # 600 streamlines make 3 endpoint tiles, too few pairs for a pool; 2000
+    # make 8 tiles and 36 pairs, which 3 workers share
+    t, _ = synth.preset_separated5(seed=0, total_count=n)
+    assert 2 * len(t) > distances._TILE_POINTS  # several endpoint tiles
+    ref = build_endpoint_graph(t, threads=1).adjacency
+    pool = PoolRecorder()
+    monkeypatch.setattr(distances, "ThreadPoolExecutor", pool)
+    assert build_endpoint_graph(t, threads=3).adjacency.tobytes() == ref.tobytes()
+    assert pool.sizes == pool_sizes
 
 
 def test_endpoint_graph_rejects_bad_threshold():

@@ -358,6 +358,16 @@ def test_sparse_csv_out_of_range(tmp_path):
         read_sparse_csv(path, (2, 2))
 
 
+@pytest.mark.parametrize("reader", [
+    read_sl, read_labels, read_dense_csv, lambda path: read_sparse_csv(path, (2, 2)),
+], ids=["sl", "labels", "dense_csv", "sparse_csv"])
+def test_undecodable_text_is_format_error_naming_the_file(tmp_path, reader):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"row,col,value\n0,1,1.0\n\xff\n")
+    with pytest.raises(FormatError, match="input.txt.*UTF-8"):
+        reader(path)
+
+
 # --- fit directory ---------------------------------------------------------
 
 def test_fit_dir_contents(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from footprint import random_distances, traced_peak
-from tractsparse import Streamline, Tractogram, pairwise_distances
+from tractsparse import Streamline, Tractogram, kernel, linalg, pairwise_distances
 from tractsparse.distances import DistanceMatrix
 from tractsparse.errors import AllZeroDistances, RankDeficientWarning
 from tractsparse.kernel import (
@@ -18,7 +18,9 @@ from tractsparse.kernel import (
     select_gamma,
     spectrum_shift,
 )
-from tractsparse.linalg import sym_eig
+from tractsparse.io import read_dm, write_dm
+from tractsparse.linalg import _symmetric_within, sym_eig
+from tractsparse.model import _adopt
 from tractsparse.solvers import spectral_init
 from tractsparse.synth import preset_separated5
 
@@ -159,6 +161,33 @@ def test_kernel_in_distance_buffer_is_kernel_from_distances(values):
     assert (got.gamma, got.shift) == (want.gamma, want.shift)
     assert [str(w.message) for w in got_warned] == [str(w.message) for w in want_warned]
     assert np.array_equal(d.values, values)
+
+
+def test_dense_kernel_build_checks_symmetry_once(tmp_path, monkeypatch):
+    # `cluster --dist` reads the .dm and builds the kernel in its buffer: the
+    # spectrum shift's eigensolve checks symmetry, and adopting the kernel
+    # made from the symmetric distances does not check it again
+    write_dm(random_distances(300), tmp_path / "d.dm")
+    shapes = []
+
+    def recorder(a, tol):
+        shapes.append(a.shape)
+        return _symmetric_within(a, tol)
+
+    monkeypatch.setattr(linalg, "_symmetric_within", recorder)
+    monkeypatch.setattr(kernel, "_symmetric_within", recorder)
+    k = _kernel_in_distance_buffer(read_dm(tmp_path / "d.dm"))
+    assert k.shift > 0 and shapes == [(300, 300)]
+
+
+def test_kernel_matrix_still_rejects_asymmetry():
+    values = np.eye(3)
+    values[0, 1] = 0.5
+    with pytest.raises(ValueError, match="symmetric"):
+        KernelMatrix(n=3, gamma=1.0, dense_values=values)
+    # an adopted kernel that nobody vouched for, as `read_km` adopts one
+    with pytest.raises(ValueError, match="symmetric"):
+        _adopt(KernelMatrix, n=3, gamma=1.0, dense_values=values)
 
 
 def test_kernel_in_distance_buffer_needs_two_streamlines():
