@@ -19,7 +19,7 @@ import numpy as np
 from .distances import MEASURES, cross_distances, pairwise_distances
 from .errors import AtlasVersionMismatch, EmptyTractogram, FormatError
 from .io import _atomic_write_text, read_dense_csv, read_slb, write_dense_csv, write_slb
-from .kernel import _rbf_values, _shifted_rbf, kernel_from_distances
+from .kernel import _kernel_in_distance_buffer, _rbf_values
 from .model import Labeling, SolverConfig, Tractogram, validate_tractogram
 from .solvers import (
     Assignment,
@@ -104,8 +104,7 @@ def build_atlas(
             pooled.extend(t[i] for i in take)
     training = Tractogram(tuple(pooled))
 
-    d = pairwise_distances(training, measure, threads=threads)
-    k = kernel_from_distances(d)
+    k = _kernel_in_distance_buffer(pairwise_distances(training, measure, threads=threads))
     init = spectral_init(k, m=cfg.m, seed=cfg.seed)
     fit = ksc_fit(k, cfg, init)
     atlas = Atlas(
@@ -148,7 +147,7 @@ def segment_with_atlas(
     d_cross = cross_distances(atlas.training, new_t, atlas.measure, threads=threads)
     cross = _rbf_values(d_cross, atlas.gamma)
     d_train = pairwise_distances(atlas.training, atlas.measure, threads=threads)
-    k_train = _shifted_rbf(d_train.values, atlas.gamma, atlas.shift)
+    k_train = _kernel_in_distance_buffer(d_train, atlas.gamma, atlas.shift)
     assignment, labels, unassigned = segment_with_dictionary(
         k_train, atlas.dictionary, cross, atlas.s_max
     )

@@ -368,10 +368,7 @@ def cmd_atlas_build(args) -> int:
     if args.sample is not None and args.sample < 1:
         raise UsageError(f"--sample must be at least 1, got {args.sample}")
     with _flag_values():
-        cfg = SolverConfig(
-            m=args.m, s_max=args.smax, lambda1=args.lambda1, mu=args.mu,
-            seed=args.seed,
-        )
+        cfg = SolverConfig(m=args.m, s_max=args.smax, seed=args.seed)
     with timer.stage("read"):
         subjects = [_read_tract(p) for p in args.infile]
     # build_atlas pools every streamline of a subject, or a sample of --sample
@@ -511,9 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="streamlines sampled per subject (default: all)")
     p.add_argument("--measure", choices=sorted(MEASURES), default="mcp")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--smax", type=int, default=3)
-    p.add_argument("--lambda1", type=float, default=0.001)
-    p.add_argument("--mu", type=float, default=0.01)
+    p.add_argument("--smax", type=int, default=SolverConfig.s_max,
+                   help=f"atoms per streamline (default {SolverConfig.s_max})")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output atlas directory")
     add_threads(p)

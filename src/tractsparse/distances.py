@@ -43,7 +43,9 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .linalg import _row_strips
-from .model import Streamline, Tractogram, _adopt, _frozen_array, validate_tractogram
+from .model import (
+    _KNOWN_SYMMETRIC, Streamline, Tractogram, _adopt, _frozen_array, validate_tractogram,
+)
 
 MEASURES = ("mcp", "haus", "ep")
 
@@ -62,7 +64,8 @@ class DistanceMatrix:
         if vals.shape != (self.n, self.n):
             raise ValueError(f"values must be ({self.n}, {self.n}), got {vals.shape}")
         # min and max carry any NaN or infinity, and the symmetry check
-        # compares one strip of rows at a time, so no n×n mask is made.
+        # compares one strip of rows at a time, so no n×n mask is made. A
+        # matrix the package assembled by mirroring skips that check.
         low, high = (vals.min(), vals.max()) if vals.size else (0.0, 0.0)
         if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("distance matrix contains non-finite values")
@@ -70,7 +73,7 @@ class DistanceMatrix:
             raise ValueError("distance matrix contains negative values")
         if np.any(np.diagonal(vals) != 0.0):
             raise ValueError("distance matrix diagonal must be exactly zero")
-        if not all(
+        if not _KNOWN_SYMMETRIC.get() and not all(
             np.array_equal(vals[i:j, i:], vals[i:, i:j].T) for i, j in _row_strips(self.n)
         ):
             raise ValueError("distance matrix must be symmetric")
@@ -364,7 +367,7 @@ def pairwise_distances(
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
     validate_tractogram(t)
     values = _assemble(_tiles(t, measure), None, measure, _resolve_threads(threads))
-    return _adopt(DistanceMatrix, n=len(t), values=values)
+    return _adopt(DistanceMatrix, known_symmetric=True, n=len(t), values=values)
 
 
 def cross_distances(

@@ -303,7 +303,7 @@ def read_dm(path) -> DistanceMatrix:
         for i in range(n):
             values[i, i:] = values[i:, i] = r.f64_array(n - i)
     try:
-        return _adopt(DistanceMatrix, n=n, values=values)
+        return _adopt(DistanceMatrix, known_symmetric=True, n=n, values=values)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

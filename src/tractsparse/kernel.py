@@ -118,25 +118,14 @@ def _width_from_upper(off: np.ndarray) -> float:
     return 1.0 / (2.0 * sigma * sigma)
 
 
-def _gamma_or_one(select, *args) -> float:
-    """``select(*args)``, or γ = 1 with a warning when every distance is zero."""
-    try:
-        return select(*args)
-    except AllZeroDistances:
-        warnings.warn("all distances are zero; falling back to gamma=1", stacklevel=3)
-        return 1.0
+def _rbf_values(d: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(−γ·d²), squared, scaled and exponentiated in place over ``d``.
 
-
-def _rbf_values(d: np.ndarray, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(−γ·d²), squared, scaled and exponentiated in place in one array.
-
-    That array is ``out``, or a fresh one at None. ``out`` may be ``d``
-    itself: each step is elementwise, so the bits are those of a fresh
-    array.
+    Each step is elementwise, so the bits are those of a fresh array.
     """
-    k = np.square(d, out=out)
-    k *= -gamma
-    return np.exp(k, out=k)
+    np.square(d, out=d)
+    d *= -gamma
+    return np.exp(d, out=d)
 
 
 def _psd_shift(values: np.ndarray) -> float:
@@ -149,34 +138,54 @@ def _psd_shift(values: np.ndarray) -> float:
     return -lam_min if lam_min < 0.0 else 0.0
 
 
-def _shifted_rbf(
-    d: np.ndarray, gamma: float, shift: float | None = None, out: np.ndarray | None = None
-) -> KernelMatrix:
-    """Dense exp(−γ·d²) + shift·I, built in a single n×n array.
+def _shifted_rbf(values: np.ndarray, gamma=None, shift=None) -> KernelMatrix:
+    """Dense exp(−γ·d²) + shift·I, built over the distances ``values``.
 
-    ``d`` is a DistanceMatrix's values, exactly symmetric, so the kernel,
-    an elementwise function of them, is exactly symmetric as well and is
-    adopted without a second symmetry check. ``out`` is as in
-    `_rbf_values`. With ``shift`` None the shift is `_psd_shift` of the
-    unshifted kernel. The shift is added to the diagonal alone, which gives
-    the same floats as adding shift·I.
+    ``values`` is an exactly symmetric distance array the caller hands
+    over; it is overwritten and becomes the kernel, which as an elementwise
+    function of it is exactly symmetric too and is adopted without a second
+    symmetry check. With ``gamma`` None the width is `select_gamma`'s, taken
+    inside the buffer: the triangle is packed at its front and a copy right
+    behind it is partitioned; the rows are then unpacked from the last one
+    back and mirrored, which restores the distances. If every distance is
+    zero a warning is issued and γ falls back to 1. With ``shift`` None the
+    shift is `_psd_shift` of the unshifted kernel. The shift is added to the
+    diagonal alone, which gives the same floats as adding shift·I.
     """
-    if gamma <= 0:
+    n = values.shape[0]
+    if gamma is None:
+        if n < 2:
+            raise ValueError("need at least 2 streamlines to select gamma")
+        flat = values.reshape(-1)
+        at = _pack_upper(values, flat).size
+        flat[at : 2 * at] = flat[:at]
+        try:
+            gamma = _width_from_upper(flat[at : 2 * at])
+        except AllZeroDistances:
+            warnings.warn("all distances are zero; falling back to gamma=1", stacklevel=3)
+            gamma = 1.0
+        for i in reversed(range(n - 1)):
+            at -= n - 1 - i
+            values[i, i + 1 :] = flat[at : at + n - 1 - i]
+        for i in range(n):
+            values[i, i] = 0.0
+            values[i + 1 :, i] = values[i, i + 1 :]
+    elif gamma <= 0:
         raise ValueError("gamma must be positive")
-    values = _rbf_values(d, gamma, out)
+    _rbf_values(values, gamma)
     if shift is None:
         shift = _psd_shift(values)
     if shift:
         np.fill_diagonal(values, values.diagonal() + shift)
     return _adopt(
-        KernelMatrix, known_symmetric=True, n=values.shape[0], gamma=float(gamma),
-        shift=shift, dense_values=values,
+        KernelMatrix, known_symmetric=True, n=n, gamma=float(gamma), shift=shift,
+        dense_values=values,
     )
 
 
 def rbf_kernel(d: DistanceMatrix, gamma: float) -> KernelMatrix:
     """k(i, j) = exp(−γ·d(i, j)²); dense, no shift applied yet."""
-    return _shifted_rbf(d.values, gamma, shift=0.0)
+    return _shifted_rbf(np.array(d.values), gamma, shift=0.0)
 
 
 def spectrum_shift(k: KernelMatrix) -> KernelMatrix:
@@ -204,40 +213,19 @@ def kernel_from_distances(d: DistanceMatrix, gamma: float | None = None) -> Kern
     With gamma=None the width is selected from the median distance; if every
     distance is zero a warning is issued and γ falls back to 1. The result
     equals ``spectrum_shift(rbf_kernel(d, gamma))`` bit for bit but is built
-    in one n×n array.
+    in one copy of d's n×n array.
     """
-    if gamma is None:
-        gamma = _gamma_or_one(select_gamma, d)
-    return _shifted_rbf(d.values, gamma)
+    return _shifted_rbf(np.array(d.values), gamma)
 
 
-def _kernel_in_distance_buffer(d: DistanceMatrix) -> KernelMatrix:
-    """``kernel_from_distances(d)`` bit for bit, built in d's own n×n buffer.
+def _kernel_in_distance_buffer(d: DistanceMatrix, gamma=None, shift=None) -> KernelMatrix:
+    """`_shifted_rbf` over d's own buffer: no second n×n array is made.
 
     Only for a DistanceMatrix its caller made and drops at once: the buffer
-    is unfrozen and overwritten, so d holds kernel values afterwards, and
-    no second n×n or half-size array is made. For γ, `select_gamma`'s
-    triangle is packed at the front of the buffer and a copy right behind
-    it is partitioned; the rows are then unpacked from the last one back
-    and mirrored, which restores the distances before the kernel
-    overwrites them.
+    is unfrozen and overwritten, so d holds kernel values afterwards.
     """
-    n = d.n
-    if n < 2:
-        raise ValueError("need at least 2 streamlines to select gamma")
-    values = d.values
-    values.flags.writeable = True
-    flat = values.reshape(-1)
-    at = _pack_upper(values, flat).size
-    flat[at : 2 * at] = flat[:at]
-    gamma = _gamma_or_one(_width_from_upper, flat[at : 2 * at])
-    for i in reversed(range(n - 1)):
-        at -= n - 1 - i
-        values[i, i + 1 :] = flat[at : at + n - 1 - i]
-    for i in range(n):
-        values[i, i] = 0.0
-        values[i + 1 :, i] = values[i, i + 1 :]
-    return _shifted_rbf(values, gamma, out=values)
+    d.values.flags.writeable = True
+    return _shifted_rbf(d.values, gamma, shift)
 
 
 def _nystrom_factor(k_aa: np.ndarray, k_ab: np.ndarray):
@@ -267,7 +255,10 @@ def nystrom_kernel(
     p landmarks are drawn uniformly at random with the given seed; the
     spectrum shift needed for definiteness is applied to the landmark block
     only, so the p = n case reproduces the dense shifted kernel. G is n×r
-    with r ≤ p: landmark eigenpairs too small to invert are dropped.
+    with r ≤ p: landmark eigenpairs too small to invert are dropped. With
+    ``gamma`` None the width is the landmark block's, chosen as for the
+    dense kernel (γ = 1 with a warning when those distances are all zero,
+    and for a single landmark).
     """
     if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
@@ -282,14 +273,12 @@ def nystrom_kernel(
 
     t_land = Tractogram(tuple(t[i] for i in landmarks))
     d_aa = pairwise_distances(t_land, measure, threads=threads)
-    if gamma is None:
-        gamma = 1.0 if p < 2 else select_gamma(d_aa)
-    k_aa = _shifted_rbf(d_aa.values, gamma)
+    k_aa = _kernel_in_distance_buffer(d_aa, 1.0 if gamma is None and p < 2 else gamma)
 
     if rest.size:
         t_rest = Tractogram(tuple(t[i] for i in rest))
         d_ab = cross_distances(t_land, t_rest, measure, threads=threads)
-        k_ab = _rbf_values(d_ab, gamma)
+        k_ab = _rbf_values(d_ab, k_aa.gamma)
     else:
         k_ab = np.zeros((p, 0))
 
@@ -305,6 +294,6 @@ def nystrom_kernel(
     g[landmarks] = g_blocks[:p]
     g[rest] = g_blocks[p:]
     return _adopt(
-        KernelMatrix, n=n, gamma=float(gamma), shift=k_aa.shift, factor=g,
+        KernelMatrix, n=n, gamma=k_aa.gamma, shift=k_aa.shift, factor=g,
         landmarks=landmarks,
     )

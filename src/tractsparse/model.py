@@ -166,29 +166,37 @@ class SolverConfig:
             raise ValueError("sweep budgets t_inner and t_outer must be >= 1")
 
 
+# Largest accepted |coordinate| in mm. Below it no squared point difference
+# can overflow: 3·(2·1e150)² ≈ 1.2e301, far under float64's 1.8e308.
+_COORDINATE_BOUND = 1e150
+
+
 def validate_tractogram(t: Tractogram) -> None:
     """Check tractogram invariants, raising a ``DataError`` subclass on violation.
 
-    One pass over the point counts and one ``isfinite`` over all points find
+    One pass over the point counts and one bound check over all points find
     the first streamline that breaks a rule; a streamline with both faults
     is reported as degenerate.
 
     Raises:
         EmptyTractogram: no streamlines at all.
         DegenerateStreamline: a streamline with fewer than 2 points.
-        NonFiniteCoordinate: any NaN or infinite coordinate.
+        NonFiniteCoordinate: any NaN or infinite coordinate, or one beyond
+            ±1e150 mm, where a squared distance could overflow.
     """
     if len(t) == 0:
         raise EmptyTractogram("tractogram contains no streamlines")
     pts = [s.points for s in t]
     counts = [p.shape[0] for p in pts]
     first = next((i for i, k in enumerate(counts) if k < 2), len(counts))
-    finite = np.isfinite(np.concatenate(pts))
-    if not finite.all():
+    # false for NaN and ±inf as well as for overflowing magnitudes
+    magnitude = np.concatenate(pts)
+    bounded = np.abs(magnitude, out=magnitude) <= _COORDINATE_BOUND
+    if not bounded.all():
         # the streamline holding the first bad point: the first i + 1 hold cumsum[i]
-        q = np.argmin(finite.all(axis=1))
+        q = np.argmin(bounded.all(axis=1))
         i = int(np.searchsorted(np.cumsum(counts), q, side="right"))
         if i < first:
-            raise NonFiniteCoordinate(f"streamline {i} has a non-finite coordinate")
+            raise NonFiniteCoordinate(f"streamline {i} has a non-finite or out-of-range coordinate")
     if first < len(counts):
         raise DegenerateStreamline(f"streamline {first} has {counts[first]} point(s)")

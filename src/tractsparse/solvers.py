@@ -385,8 +385,8 @@ def init_dictionary_from_labels(labels: Labeling, k: KernelMatrix) -> Dictionary
     The medoid of a cluster minimizes the summed squared feature-space
     distance to co-members, which needs only kernel entries. Ties go to the
     lowest streamline index. A dense kernel's K[C, C] row sums are taken one
-    strip of rows at a time, each row its own reduction, so no |C|×|C| copy
-    is held.
+    strip of rows at a time, each row its own reduction, and a factored
+    kernel's are gᵢᵀ·Σⱼgⱼ over the rows G[C], so no |C|×|C| array is held.
     """
     lab = np.asarray(labels.labels)
     if lab.size != k.n:
@@ -397,8 +397,8 @@ def init_dictionary_from_labels(labels: Labeling, k: KernelMatrix) -> Dictionary
         if members.size == 0:
             raise EmptyCluster(f"cluster {j} has no members")
         if k.is_factored:
-            sub = k.factor[members] @ k.factor[members].T
-            diag, sums = np.diagonal(sub), sub.sum(axis=1)
+            g = k.factor[members]
+            diag, sums = np.einsum("ij,ij->i", g, g), g @ g.sum(axis=0)
         else:
             kd = k.dense_values
             diag = kd[members, members]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from footprint import traced_peak
-from tractsparse import cli, distances, linalg, synth
+from tractsparse import Streamline, Tractogram, cli, distances, linalg, synth
 from tractsparse.cli import main
 from tractsparse.errors import FormatError
 from tractsparse.io import (
@@ -242,6 +242,33 @@ def test_cluster_nystrom_coarse_landmarks(tmp_path):
     assert main(["cluster", "--in", str(data / "tract.slb"), "--method", "ksc",
                  "--m", "5", "--nystrom", "100", "--out", str(out)]) == 0
     assert ari_files(out / "labels.txt", data / "labels.txt") >= 0.9
+
+
+def test_cluster_identical_streamlines_fall_back_to_gamma_one(tmp_path):
+    # every distance is zero: the dense and the landmark kernel both warn and
+    # take γ = 1, so the two forms of `cluster` behave alike
+    same = Streamline([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [20.0, 1.0, 0.0]])
+    write_slb(Tractogram(tuple(same for _ in range(30))), tmp_path / "same.slb")
+    for form in ([], ["--nystrom", "10"]):
+        out = tmp_path / ("nystrom" if form else "dense")
+        with pytest.warns(UserWarning, match="gamma=1"):
+            assert main(["cluster", "--in", str(tmp_path / "same.slb"), "--method", "ksc",
+                         "--m", "2", "--save-kernel", "--out", str(out)] + form) == 0
+        assert read_km(out / "kernel.km").gamma == 1.0
+
+
+def test_cluster_nystrom_medoid_start_holds_no_cluster_block(tmp_path):
+    # sep5's largest bundle holds 0.72n streamlines, so forming G[C]·G[C]ᵀ for
+    # it alone would take 0.52·n²·8 bytes
+    tract, _ = synth.preset_separated5(seed=0, total_count=2000)
+    write_slb(tract, tmp_path / "tract.slb")
+    n = len(tract)
+    rc, peak = traced_peak(main, [
+        "cluster", "--in", str(tmp_path / "tract.slb"), "--method", "ksc", "--m", "5",
+        "--nystrom", "100", "--out", str(tmp_path / "fit"),
+    ])
+    assert rc == 0
+    assert peak <= 0.4 * n * n * 8
 
 
 def test_cluster_flag_conflicts(workdir, tmp_path, capsys):
@@ -496,6 +523,27 @@ def test_atlas_build_manifest_counts_stored_training(workdir, tmp_path):
     assert manifest["result"]["n_training"] == stored
     assert stored == len(read_slb(atlas / "training.slb"))
     assert stored < 200  # only the atom streamlines of the 200 sampled
+
+
+@pytest.mark.parametrize("flag", ["--lambda1", "--mu"])
+def test_atlas_build_rejects_flags_ksc_never_reads(workdir, tmp_path, capsys, flag):
+    rc = main(["atlas-build", "--in", str(workdir / "data" / "tract.slb"), "--m", "2",
+               flag, "0.5", "--out", str(tmp_path / "ref.atlas")])
+    assert flag in capsys.readouterr().err
+    assert rc == 2
+
+
+def test_overflowing_coordinate_is_data_error(workdir, atlas_dir, tmp_path, capsys):
+    tract = read_slb(workdir / "data" / "tract.slb")
+    pts = tract[3].points.copy()
+    pts[1, 2] = 1e200
+    bad = Tractogram(tract.streamlines[:3] + (Streamline(pts),) + tract.streamlines[4:])
+    write_slb(bad, tmp_path / "bad.slb")
+    for argv in (["distances", "--out", str(tmp_path / "d.dm")],
+                 ["segment", "--atlas", str(atlas_dir), "--out", str(tmp_path / "seg")]):
+        assert main(argv + ["--in", str(tmp_path / "bad.slb")]) == 3
+        assert "streamline 3 " in capsys.readouterr().err
+    assert not (tmp_path / "seg" / "labels.txt").exists()
 
 
 def test_segment_measure_mismatch_is_data_error(workdir, tmp_path, capsys):

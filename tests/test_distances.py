@@ -27,6 +27,8 @@ from tractsparse.errors import (
     EmptyTractogram,
     NonFiniteCoordinate,
 )
+from tractsparse.io import read_dm, write_dm
+from tractsparse.model import _adopt
 
 DISTS = {"mcp": dist_mcp, "haus": dist_hausdorff, "ep": dist_ep}
 
@@ -239,6 +241,54 @@ def test_distance_matrix_finds_asymmetry_in_any_strip(i, j):
     vals[i, j] += 1.0
     with pytest.raises(ValueError, match="symmetric"):
         DistanceMatrix(600, vals)
+
+
+def test_mirrored_distance_matrices_skip_the_strip_check(tmp_path, monkeypatch):
+    # pairwise_distances and read_dm fill both triangles from one, so their
+    # matrices are symmetric by construction; the public constructor checks
+    strips = []
+
+    def recorder(n):
+        strips.append(n)
+        return row_strips(n)
+
+    row_strips = distances._row_strips
+    monkeypatch.setattr(distances, "_row_strips", recorder)
+    d = pairwise_distances(random_tractogram(np.random.default_rng(0), 40))
+    write_dm(d, tmp_path / "d.dm")
+    assert np.array_equal(read_dm(tmp_path / "d.dm").values, d.values)
+    assert strips == []
+    vals = d.values.copy()
+    vals[3, 7] += 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        DistanceMatrix(40, vals)
+    assert strips == [40]
+    # vouching for symmetry skips that check alone
+    vals[3, 7] = vals[7, 3] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        _adopt(DistanceMatrix, known_symmetric=True, n=40, values=vals)
+
+
+def _overflowing(t: Tractogram, i: int) -> Tractogram:
+    """``t`` with one coordinate of streamline i at 1e200, where squares overflow."""
+    pts = t[i].points.copy()
+    pts[1, 2] = 1e200
+    return Tractogram(t.streamlines[:i] + (Streamline(pts),) + t.streamlines[i + 1 :])
+
+
+def test_overflowing_coordinates_are_typed_errors():
+    t, _ = synth.preset_crossing2(seed=0)
+    bad = _overflowing(t, 3)
+    with pytest.raises(NonFiniteCoordinate, match=r"streamline 3\b"):
+        pairwise_distances(bad)
+    with pytest.raises(NonFiniteCoordinate, match=r"streamline 3\b"):
+        distances.cross_distances(t, bad)
+    with pytest.raises(NonFiniteCoordinate, match=r"streamline 1\b"):
+        dist_mcp(t[0], bad[3])
+    # up to the bound, distances stay finite
+    pts = t[3].points.copy()
+    pts[1, 2] = 1e150
+    assert math.isfinite(dist_mcp(Streamline(-pts), Streamline(pts)))
 
 
 @pytest.mark.parametrize("name", ["mcp", "haus", "ep"])

@@ -302,6 +302,15 @@ def test_nystrom_warns_on_rank_deficient_landmarks():
     assert np.allclose(k.dense(), np.ones((12, 12)), atol=1e-6)
 
 
+def test_nystrom_identical_landmarks_fall_back_to_gamma_one():
+    s = Streamline([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
+    t = Tractogram(tuple(s for _ in range(12)))
+    with pytest.warns(UserWarning, match="gamma=1"):
+        k = nystrom_kernel(t, "mcp", p=8, seed=0)
+    assert k.gamma == 1.0
+    assert np.allclose(k.dense(), np.ones((12, 12)), atol=1e-6)
+
+
 def test_nystrom_single_landmark_imperfect():
     rng = np.random.default_rng(10)
     t = random_tractogram(rng, 12)

@@ -124,3 +124,15 @@ def test_validate_tractogram_names_first_offender():
         validate_tractogram(Tractogram((_nan_at(5, 4), good)))
     with pytest.raises(NonFiniteCoordinate, match=r"streamline 1\b"):
         validate_tractogram(Tractogram((good, _nan_at(2, 0))))
+
+
+def test_validate_tractogram_rejects_coordinates_that_could_overflow():
+    good = _line(4)
+    for big in (1e200, -1e151, np.finfo(float).max):
+        pts = _line(4).points.copy()
+        pts[2, 0] = big
+        with pytest.raises(NonFiniteCoordinate, match=r"streamline 1\b"):
+            validate_tractogram(Tractogram((good, Streamline(pts), good)))
+    pts = _line(4).points.copy()
+    pts[2, 0] = -1e150
+    validate_tractogram(Tractogram((good, Streamline(pts))))
