@@ -44,7 +44,13 @@ from scipy.spatial.distance import cdist
 
 from .linalg import _row_strips
 from .model import (
-    _KNOWN_SYMMETRIC, Streamline, Tractogram, _adopt, _frozen_array, validate_tractogram,
+    _KNOWN_SYMMETRIC,
+    Streamline,
+    Tractogram,
+    _adopt,
+    _frozen_array,
+    _matrix,
+    validate_tractogram,
 )
 
 MEASURES = ("mcp", "haus", "ep")
@@ -302,11 +308,12 @@ def _assemble(rows: list, cols: list | None, measure: str, threads: int):
     bit. Each worker takes chunks of consecutive pairs from one queue, which
     spreads the triangle's uneven rows evenly, and writes every cdist block
     into its own buffer, allocated here. The calling thread is one of the
-    workers; a pool runs the others.
+    workers; a pool runs the others. The matrix itself is a `_matrix`, in
+    its own memory map, so its pages go back to the system when it is freed.
     """
     square = cols is None
     cols = rows if square else cols
-    out = np.empty((sum(a.n for a in rows), sum(b.n for b in cols)))
+    out = _matrix((sum(a.n for a in rows), sum(b.n for b in cols)))
     pairs = [
         (a, b)
         for k, a in enumerate(rows)
@@ -413,7 +420,10 @@ def build_endpoint_graph(
 
 
 def graph_laplacian(g: EndpointGraph) -> np.ndarray:
-    """Combinatorial Laplacian: degree matrix minus adjacency."""
-    lap = np.subtract(0.0, g.adjacency, dtype=np.float64)
+    """Combinatorial Laplacian: degree matrix minus adjacency.
+
+    The n×n result is a `_matrix`, in its own memory map.
+    """
+    lap = np.subtract(0.0, g.adjacency, out=_matrix(g.adjacency.shape), dtype=np.float64)
     np.fill_diagonal(lap, g.degree)
     return lap

@@ -26,7 +26,7 @@ import numpy as np
 from .distances import DistanceMatrix
 from .errors import FormatError
 from .kernel import KernelMatrix
-from .model import Labeling, SolverConfig, Streamline, Tractogram, _adopt
+from .model import Labeling, SolverConfig, Streamline, Tractogram, _adopt, _matrix
 
 SLB_MAGIC = b"SLB1"
 DM_MAGIC = b"DM01"
@@ -194,12 +194,20 @@ class _Reader:
         (v,) = _F64.unpack(self.take(8))
         return v
 
-    def f64_array(self, count: int, shape=None) -> np.ndarray:
-        """``count`` float64 values read straight into a new array."""
+    def f64_array(self, count: int, shape=None, out=None) -> np.ndarray:
+        """``count`` float64 values read straight into ``out`` or a new array.
+
+        ``out`` is a C-ordered float64 array of ``count`` elements and is
+        returned as it is.
+        """
         self._claim(8 * count)
-        arr = np.empty(count, dtype="<f8")
+        arr = np.empty(count, dtype="<f8") if out is None else out.reshape(-1)
         if self.f.readinto(memoryview(arr).cast("B")) != 8 * count:
             raise FormatError(f"{self.path}: truncated while reading")
+        if out is not None:
+            if arr.dtype != np.dtype("<f8"):  # a big-endian host's float64
+                arr.byteswap(inplace=True)
+            return out
         arr = arr.astype(np.float64, copy=False)
         return arr if shape is None else arr.reshape(shape)
 
@@ -294,12 +302,14 @@ def read_dm(path) -> DistanceMatrix:
     The file size is checked against the header's n before anything is
     allocated. Each row of the triangle is read into a one-row array and
     copied into its row and column, so at peak the matrix and one row are
-    held.
+    held. The matrix is a `_matrix`, in its own memory map: the CLI builds
+    its kernel in this buffer, and its pages go back to the system when
+    the kernel is freed.
     """
     with _read_binary(path, DM_MAGIC) as r:
         n = r.u64()
         r.expect_rest(8 * (n * (n + 1) // 2))
-        values = np.empty((n, n))
+        values = _matrix((n, n))
         for i in range(n):
             values[i, i:] = values[i:, i] = r.f64_array(n - i)
     try:
@@ -351,7 +361,7 @@ def read_km(path) -> KernelMatrix:
                 if p != n:
                     raise FormatError(f"{path}: dense form with p={p} != n={n}")
                 r.expect_rest(8 * n * n)
-                values = r.f64_array(n * n, shape=(n, n))
+                values = r.f64_array(n * n, out=_matrix((n, n)))
                 return _adopt(
                     KernelMatrix, n=n, gamma=gamma, shift=shift, dense_values=values
                 )

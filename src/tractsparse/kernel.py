@@ -17,7 +17,9 @@ import numpy as np
 from .distances import MEASURES, DistanceMatrix, cross_distances, pairwise_distances
 from .errors import AllZeroDistances, RankDeficientWarning
 from .linalg import _symmetric_within, sym_eig
-from .model import _KNOWN_SYMMETRIC, Tractogram, _adopt, _frozen_array, validate_tractogram
+from .model import (
+    _KNOWN_SYMMETRIC, Tractogram, _adopt, _frozen_array, _matrix, validate_tractogram,
+)
 
 _EIG_FLOOR_REL = 1e-10
 
@@ -128,6 +130,13 @@ def _rbf_values(d: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(d, out=d)
 
 
+def _matrix_copy(values: np.ndarray) -> np.ndarray:
+    """A copy of ``values`` in a `_matrix`, bit for bit."""
+    out = _matrix(values.shape)
+    np.copyto(out, values)
+    return out
+
+
 def _psd_shift(values: np.ndarray) -> float:
     """|λ_min| of a symmetric matrix when λ_min is negative, else 0.0.
 
@@ -185,7 +194,7 @@ def _shifted_rbf(values: np.ndarray, gamma=None, shift=None) -> KernelMatrix:
 
 def rbf_kernel(d: DistanceMatrix, gamma: float) -> KernelMatrix:
     """k(i, j) = exp(−γ·d(i, j)²); dense, no shift applied yet."""
-    return _shifted_rbf(np.array(d.values), gamma, shift=0.0)
+    return _shifted_rbf(_matrix_copy(d.values), gamma, shift=0.0)
 
 
 def spectrum_shift(k: KernelMatrix) -> KernelMatrix:
@@ -200,7 +209,7 @@ def spectrum_shift(k: KernelMatrix) -> KernelMatrix:
     shift = _psd_shift(k.dense_values)
     if not shift:
         return k
-    values = k.dense_values.copy()
+    values = _matrix_copy(k.dense_values)
     np.fill_diagonal(values, values.diagonal() + shift)
     return _adopt(
         KernelMatrix, n=k.n, gamma=k.gamma, shift=k.shift + shift, dense_values=values
@@ -215,7 +224,7 @@ def kernel_from_distances(d: DistanceMatrix, gamma: float | None = None) -> Kern
     equals ``spectrum_shift(rbf_kernel(d, gamma))`` bit for bit but is built
     in one copy of d's n×n array.
     """
-    return _shifted_rbf(np.array(d.values), gamma)
+    return _shifted_rbf(_matrix_copy(d.values), gamma)
 
 
 def _kernel_in_distance_buffer(d: DistanceMatrix, gamma=None, shift=None) -> KernelMatrix:

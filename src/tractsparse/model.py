@@ -8,6 +8,8 @@ across threads.
 from __future__ import annotations
 
 import contextvars
+import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +53,26 @@ def _adopt(cls, known_symmetric=False, **fields):
     finally:
         _KNOWN_SYMMETRIC.reset(symmetric)
         _ADOPTING.reset(adopting)
+
+
+def _pages(nbytes: int):
+    """``nbytes`` of fresh anonymous memory in a map of their own."""
+    return mmap.mmap(-1, nbytes)
+
+
+def _matrix(shape) -> np.ndarray:
+    """An uninitialised C-ordered float64 array in its own memory map.
+
+    Every n×n matrix the package makes comes from here. Its pages go back to
+    the operating system when the array is freed, so a freed matrix never
+    stays resident behind the next one, and the C allocator never raises its
+    threshold for serving large blocks from the heap. A process that runs
+    several commands therefore peaks at one command's footprint. A map
+    cannot be empty, so an empty shape still maps one byte.
+    """
+    count = math.prod(shape)
+    pages = _pages(max(8 * count, 1))
+    return np.frombuffer(pages, dtype=np.float64, count=count).reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -714,31 +714,47 @@ def default_lambda2(mu: float, n: int, m: int) -> float:
 DEFAULT_LAMBDA_L = 0.01
 
 
+# Frontier rows read at a time by the component search in `_laplacian_blocks`.
+_FRONTIER_ROWS = 64
+
+
 def _laplacian_blocks(laplacian, lambda_l: float, n: int):
     """Q = λ_L·L split over the endpoint graph's connected components.
 
     Q is block diagonal over the components, so its Sylvester solve splits
     into one solve per block. Returns (columns, Q block, its Schur form)
-    per component. Isolated streamlines (a zero row of L) get no block:
+    per component, in the order of each component's first column, with its
+    columns ascending. Isolated streamlines (a zero row of L) get no block:
     their columns of Q are zero, so the W-step there is P⁻¹·R.
-    """
-    # imported here: at module level csgraph adds about 1 MiB to every process
-    import scipy.sparse.csgraph
 
+    Components come from a breadth-first search over the non-zeros of L,
+    read ``_FRONTIER_ROWS`` frontier rows at a time, so no copy of L is
+    made. L is symmetric, as a graph Laplacian is: a row reaching a column
+    of an earlier component would couple two blocks, and raises.
+    """
     lap = np.asarray(laplacian, dtype=np.float64)
     if lap.shape != (n, n):
         raise ValueError(f"laplacian must be ({n}, {n}), got {lap.shape}")
-    rows, cols = np.nonzero(lap)
-    graph = scipy.sparse.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    count, comp = scipy.sparse.csgraph.connected_components(graph, directed=False)
-    linked = np.bincount(rows, minlength=n) > 0
-    order = np.argsort(comp, kind="stable")
-    bounds = np.cumsum(np.bincount(comp, minlength=count))[:-1]
+    comp = np.full(n, -1)
     blocks = []
-    for idx in np.split(order, bounds):
-        if linked[idx[0]]:
-            q = lambda_l * lap[np.ix_(idx, idx)]
-            blocks.append((idx, q, schur_form(q)))
+    for seed in range(n):
+        if comp[seed] >= 0 or not lap[seed].any():
+            continue
+        comp[seed] = seed
+        frontier = np.array([seed])
+        while frontier.size:
+            reached = np.zeros(n, dtype=bool)
+            for at in range(0, frontier.size, _FRONTIER_ROWS):
+                reached |= (lap[frontier[at : at + _FRONTIER_ROWS]] != 0).any(axis=0)
+            known = comp[reached]
+            if ((known >= 0) & (known != seed)).any():
+                raise ValueError("laplacian must be symmetric")
+            frontier = np.flatnonzero(reached & (comp < 0))
+            comp[frontier] = seed
+        idx = np.flatnonzero(comp == seed)
+        q = lap[np.ix_(idx, idx)]
+        q *= lambda_l
+        blocks.append((idx, q, schur_form(q)))
     return blocks
 
 

@@ -1,17 +1,22 @@
 """End-to-end checks of the command-line interface.
 
 Everything runs in-process through cli.main so exit codes and artifact
-bytes can be asserted without spawning subprocesses.
+bytes can be asserted without spawning subprocesses. The one exception
+measures a fresh process's peak memory over repeated commands.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from footprint import traced_peak
+import tractsparse
 from tractsparse import Streamline, Tractogram, cli, distances, linalg, synth
 from tractsparse.cli import main
 from tractsparse.errors import FormatError
@@ -269,6 +274,56 @@ def test_cluster_nystrom_medoid_start_holds_no_cluster_block(tmp_path):
     ])
     assert rc == 0
     assert peak <= 0.4 * n * n * 8
+
+
+# Runs three distances → cluster → metrics chains in one process and prints
+# its peak resident size in KiB after each.
+_CHAINS = """
+import resource, sys
+from pathlib import Path
+from tractsparse import io, synth
+from tractsparse.cli import main
+
+work, n = Path(sys.argv[1]), int(sys.argv[2])
+io.write_slb(synth.preset_separated5(seed=0, total_count=n)[0], work / "tract.slb")
+peaks = []
+for i in range(3):
+    d = work / f"chain{i}"
+    for argv in (
+        ["distances", "--in", str(work / "tract.slb"), "--out", str(d / "d.dm")],
+        ["cluster", "--in", str(work / "tract.slb"), "--dist", str(d / "d.dm"),
+         "--method", "ksc", "--m", "5", "--out", str(d / "fit")],
+        ["metrics", "--pred", str(d / "fit" / "labels.txt"), "--dist", str(d / "d.dm"),
+         "--out", str(d / "metrics.json")],
+    ):
+        d.mkdir(exist_ok=True)
+        if main(argv) != 0:
+            sys.exit(f"{argv[0]} failed")
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(*peaks)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="ru_maxrss is counted in KiB on Linux only, and the allocator measured is glibc's",
+)
+def test_repeated_commands_peak_at_one_commands_footprint(tmp_path):
+    # A freed n×n matrix must go back to the system, not stay resident behind
+    # the next one: the third chain may not hold a quarter matrix more than
+    # the first. Matrices served from the C heap grew the peak by 28.7 MiB
+    # here, nearly a full 30.5 MiB matrix.
+    n = 2000
+    src = str(Path(tractsparse.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run(
+        [sys.executable, "-c", _CHAINS, str(tmp_path), str(n)],
+        capture_output=True, text=True, env=env, timeout=600, check=False,
+    )
+    assert run.returncode == 0, run.stderr
+    first, _, third = (1024 * int(kib) for kib in run.stdout.splitlines()[-1].split())
+    assert third - first < 0.25 * n * n * 8
 
 
 def test_cluster_flag_conflicts(workdir, tmp_path, capsys):

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from footprint import random_distances, traced_peak
+from footprint import mapped, random_distances, traced_peak
 from tractsparse import Labeling, SolverConfig, Streamline, Tractogram
 from tractsparse.cli import main
 from tractsparse.distances import DistanceMatrix, pairwise_distances
@@ -245,6 +245,17 @@ def test_read_dm_holds_the_matrix_and_one_row(tmp_path):
     back, peak = traced_peak(read_dm, path)
     assert np.array_equal(back.values, d.values)
     assert peak <= 1.1 * n * n * 8
+
+
+def test_traced_peak_counts_the_mapped_matrix(tmp_path):
+    # tracemalloc cannot see memory maps; traced_peak must still count the
+    # n×n matrix read_dm maps, or every bound above would pass blind
+    n = 1000
+    path = tmp_path / "d.dm"
+    write_dm(random_distances(n, seed=1), path)
+    _, peak = traced_peak(read_dm, path)
+    assert peak >= 1.0 * n * n * 8
+    assert mapped(read_dm(path).values)
 
 
 def test_distance_matrix_constructor_copies_caller_array():

@@ -1,17 +1,34 @@
 import numpy as np
 import pytest
 
+from footprint import mapped, random_distances
 from tractsparse import (
     Labeling,
     SolverConfig,
     Streamline,
     Tractogram,
+    model,
+    synth,
     validate_tractogram,
+)
+from tractsparse.distances import (
+    DistanceMatrix,
+    build_endpoint_graph,
+    cross_distances,
+    graph_laplacian,
+    pairwise_distances,
 )
 from tractsparse.errors import (
     DegenerateStreamline,
     EmptyTractogram,
     NonFiniteCoordinate,
+)
+from tractsparse.io import read_dm, read_km, write_dm, write_km
+from tractsparse.kernel import (
+    _kernel_in_distance_buffer,
+    kernel_from_distances,
+    rbf_kernel,
+    spectrum_shift,
 )
 
 
@@ -136,3 +153,55 @@ def test_validate_tractogram_rejects_coordinates_that_could_overflow():
     pts = _line(4).points.copy()
     pts[2, 0] = -1e150
     validate_tractogram(Tractogram((good, Streamline(pts))))
+
+
+# --- matrices in their own memory map ---------------------------------------
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (4, 5)])
+def test_matrix_is_a_writable_c_ordered_float64_map(shape):
+    a = model._matrix(shape)
+    assert a.shape == shape and a.dtype == np.float64
+    assert a.flags.c_contiguous and a.flags.writeable
+    a[...] = 2.5
+    assert np.all(a == 2.5)
+    assert mapped(a)
+
+
+def test_adopted_matrix_freezes_in_place_and_unfreezes_into_a_kernel():
+    want = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+    values = model._matrix((3, 3))
+    values[...] = want
+    d = model._adopt(DistanceMatrix, known_symmetric=True, n=3, values=values)
+    assert np.shares_memory(d.values, values) and not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0, 1] = 5.0
+    k = _kernel_in_distance_buffer(d, gamma=0.5, shift=0.0)
+    assert np.shares_memory(k.dense_values, values) and not k.dense_values.flags.writeable
+    assert k.dense_values.tobytes() == rbf_kernel(DistanceMatrix(3, want), 0.5).dense_values.tobytes()
+
+
+def test_every_package_matrix_is_mapped(tmp_path, monkeypatch):
+    t, _ = synth.preset_separated5(seed=0, total_count=60)
+    d = pairwise_distances(t)
+    k = kernel_from_distances(d)
+    write_dm(d, tmp_path / "d.dm")
+    write_km(k, tmp_path / "k.km")
+    indefinite = rbf_kernel(random_distances(30), 0.1)
+    shifted = spectrum_shift(indefinite)
+    assert shifted.shift > 0.0  # so spectrum_shift made its copy
+    matrices = {
+        "pairwise_distances": d.values,
+        "cross_distances": cross_distances(Tractogram(t.streamlines[:20]), t),
+        "read_dm": read_dm(tmp_path / "d.dm").values,
+        "read_km": read_km(tmp_path / "k.km").dense_values,
+        "kernel_from_distances": k.dense_values,
+        "rbf_kernel": indefinite.dense_values,
+        "spectrum_shift": shifted.dense_values,
+        "graph_laplacian": graph_laplacian(build_endpoint_graph(t)),
+    }
+    assert [name for name, arr in matrices.items() if not mapped(arr)] == []
+    # the endpoint graph's distances are compared once and dropped
+    sizes, pages = [], model._pages
+    monkeypatch.setattr(model, "_pages", lambda nbytes: sizes.append(nbytes) or pages(nbytes))
+    build_endpoint_graph(t)
+    assert sizes == [len(t) * len(t) * 8]

@@ -1192,6 +1192,45 @@ def test_blockwise_w_solve_matches_full_q_solve():
     )
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_laplacian_blocks_are_the_graph_components(seed):
+    import scipy.sparse.csgraph  # the oracle, in this test only
+
+    rng = np.random.default_rng(70 + seed)
+    n, lam = 120, 0.05
+    adj = np.triu(rng.random((n, n)) < rng.uniform(0.005, 0.02), 1)
+    adj = (adj | adj.T).astype(np.float64)
+    lap = np.diag(adj.sum(axis=1)) - adj
+    assert (adj.sum(axis=1) == 0).any()  # some streamlines are isolated
+    count, comp = scipy.sparse.csgraph.connected_components(adj, directed=False)
+    want = [idx for idx in np.split(np.argsort(comp, kind="stable"),
+                                    np.cumsum(np.bincount(comp))[:-1]) if idx.size > 1]
+    blocks = solvers._laplacian_blocks(lap, lam, n)
+    assert [idx.tolist() for idx, _, _ in blocks] == [idx.tolist() for idx in want]
+    for idx, q, _ in blocks:
+        assert q.tobytes() == (lam * lap[np.ix_(idx, idx)]).tobytes()
+
+
+@pytest.mark.parametrize("row, col", [(3, 0), (0, 3)], ids=["later-row", "earlier-row"])
+def test_laplacian_blocks_reject_an_asymmetric_laplacian(row, col):
+    lap = np.array([[1.0, -1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    lap[row, col] = -1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        solvers._laplacian_blocks(lap, 0.1, 4)
+
+
+def test_laplacian_blocks_hold_no_sparse_copy_of_the_laplacian():
+    # the blocks and their Schur forms hold about 1.1·n²·8 bytes on sep5; a
+    # sparse copy of L's 490k non-zeros pushed the peak to 3.6·n²·8
+    tg, _ = synth.preset_separated5(seed=0, total_count=1000)
+    lap = graph_laplacian(build_endpoint_graph(tg))
+    n = len(tg)
+    blocks, peak = traced_peak(solvers._laplacian_blocks, lap, solvers.DEFAULT_LAMBDA_L, n)
+    assert len(blocks) > 1
+    assert peak <= 2.0 * n * n * 8
+
+
 def test_laplacian_fit_never_decomposes_an_n_by_n_matrix(sep5_kernels, monkeypatch):
     tg, kernels, labels = sep5_kernels
     k = kernels["dense"]
