@@ -16,8 +16,10 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
+import sys
 import tempfile
 from pathlib import Path
 
@@ -194,22 +196,19 @@ class _Reader:
         (v,) = _F64.unpack(self.take(8))
         return v
 
-    def f64_array(self, count: int, shape=None, out=None) -> np.ndarray:
-        """``count`` float64 values read straight into ``out`` or a new array.
+    def f64_array(self, shape: tuple, out=None) -> np.ndarray:
+        """float64 values of ``shape`` read straight into ``out`` or a new array.
 
-        ``out`` is a C-ordered float64 array of ``count`` elements and is
-        returned as it is.
+        ``out`` is a C-ordered float64 array of that shape and is returned.
         """
+        count = math.prod(shape)
         self._claim(8 * count)
-        arr = np.empty(count, dtype="<f8") if out is None else out.reshape(-1)
+        arr = np.empty(shape) if out is None else out
         if self.f.readinto(memoryview(arr).cast("B")) != 8 * count:
             raise FormatError(f"{self.path}: truncated while reading")
-        if out is not None:
-            if arr.dtype != np.dtype("<f8"):  # a big-endian host's float64
-                arr.byteswap(inplace=True)
-            return out
-        arr = arr.astype(np.float64, copy=False)
-        return arr if shape is None else arr.reshape(shape)
+        if sys.byteorder == "big":
+            arr.byteswap(inplace=True)
+        return arr
 
     def done(self):
         self.expect_rest(0)
@@ -311,7 +310,7 @@ def read_dm(path) -> DistanceMatrix:
         r.expect_rest(8 * (n * (n + 1) // 2))
         values = _matrix((n, n))
         for i in range(n):
-            values[i, i:] = values[i:, i] = r.f64_array(n - i)
+            values[i, i:] = values[i:, i] = r.f64_array((n - i,))
     try:
         return _adopt(DistanceMatrix, known_symmetric=True, n=n, values=values)
     except ValueError as exc:
@@ -361,12 +360,12 @@ def read_km(path) -> KernelMatrix:
                 if p != n:
                     raise FormatError(f"{path}: dense form with p={p} != n={n}")
                 r.expect_rest(8 * n * n)
-                values = r.f64_array(n * n, out=_matrix((n, n)))
+                values = r.f64_array((n, n), out=_matrix((n, n)))
                 return _adopt(
                     KernelMatrix, n=n, gamma=gamma, shift=shift, dense_values=values
                 )
             if form == _KM_FACTORED:
-                factor = r.f64_array(n * p, shape=(n, p))
+                factor = r.f64_array((n, p))
                 count = r.u64()
                 landmarks = np.frombuffer(r.take(8 * count), dtype="<u8")
                 if count and landmarks.max() > _SANE_COUNT:

@@ -78,7 +78,7 @@ class KernelMatrix:
     def dense(self) -> np.ndarray:
         """Materialize the full n×n matrix (the one expensive op here)."""
         if self.is_factored:
-            return self.factor @ self.factor.T
+            return np.matmul(self.factor, self.factor.T, out=_matrix((self.n, self.n)))
         return np.asarray(self.dense_values)
 
 

@@ -7,6 +7,7 @@ across threads.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
 import mmap
@@ -56,19 +57,33 @@ def _adopt(cls, known_symmetric=False, **fields):
 
 
 def _pages(nbytes: int):
-    """``nbytes`` of fresh anonymous memory in a map of their own."""
-    return mmap.mmap(-1, nbytes)
+    """``nbytes`` of fresh anonymous memory in a private map of their own.
+
+    Private, so a forked child copies a page on write instead of sharing it.
+    Where the system has transparent huge pages, the map asks for them, as
+    numpy does for its own large arrays, so a matrix faults in 2-MiB pages
+    rather than 4-KiB ones.
+    """
+    pages = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        with contextlib.suppress(OSError):  # a kernel built without them
+            pages.madvise(mmap.MADV_HUGEPAGE)
+    return pages
 
 
 def _matrix(shape) -> np.ndarray:
     """An uninitialised C-ordered float64 array in its own memory map.
 
-    Every n×n matrix the package makes comes from here. Its pages go back to
-    the operating system when the array is freed, so a freed matrix never
-    stays resident behind the next one, and the C allocator never raises its
-    threshold for serving large blocks from the heap. A process that runs
-    several commands therefore peaks at one command's footprint. A map
-    cannot be empty, so an empty shape still maps one byte.
+    The package's n×n matrices come from here: distances
+    (`distances._assemble`), the matrices read from .dm and dense .km
+    files, the kernel copies in `kernel`, a factored kernel's
+    `KernelMatrix.dense`, the graph Laplacian and the spectral start's
+    normalized Laplacian. Its pages go back to the operating system when
+    the array is freed, so a freed matrix never stays resident behind the
+    next one, and the C allocator never raises its threshold for serving
+    large blocks from the heap. A process that runs several commands
+    therefore peaks at one command's footprint. A map cannot be empty, so
+    an empty shape still maps one byte.
     """
     count = math.prod(shape)
     pages = _pages(max(8 * count, 1))

@@ -43,7 +43,7 @@ from .linalg import (
     sylvester_solve,
     sym_eig,
 )
-from .model import Labeling, SolverConfig, _frozen_array
+from .model import Labeling, SolverConfig, _frozen_array, _matrix
 
 _KKM_SWEEPS = 100
 _KSC_SWEEPS = 20
@@ -283,7 +283,7 @@ def spectral_embedding(k: KernelMatrix, n_eig: int = 10) -> np.ndarray:
     else:
         # One n×n buffer; each step is the float operation of the expression
         # (I − (D^{−1/2}·K)·D^{−1/2} + its transpose)/2, as 1 − x = (0 − x) + 1.
-        lap = inv_sqrt[:, None] * kd
+        lap = np.multiply(inv_sqrt[:, None], kd, out=_matrix((n, n)))
         lap *= inv_sqrt[None, :]
         np.subtract(0.0, lap, out=lap)
         np.fill_diagonal(lap, lap.diagonal() + 1.0)

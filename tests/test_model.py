@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from tractsparse import (
     Streamline,
     Tractogram,
     model,
+    solvers,
     synth,
     validate_tractogram,
 )
@@ -27,6 +31,7 @@ from tractsparse.io import read_dm, read_km, write_dm, write_km
 from tractsparse.kernel import (
     _kernel_in_distance_buffer,
     kernel_from_distances,
+    nystrom_kernel,
     rbf_kernel,
     spectrum_shift,
 )
@@ -167,6 +172,44 @@ def test_matrix_is_a_writable_c_ordered_float64_map(shape):
     assert mapped(a)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_writes_its_own_copy_of_a_matrix():
+    a = model._matrix((4, 4))
+    a[...] = 1.0
+    pid = os.fork()
+    if pid == 0:
+        try:
+            a[...] = 2.0
+        finally:
+            os._exit(0)
+    os.waitpid(pid, 0)
+    assert np.all(a == 1.0)
+
+
+def _vm_flags(address: int) -> list:
+    """The kernel's VmFlags of the mapping in this process that holds ``address``."""
+    with open("/proc/self/smaps") as f:
+        inside = False
+        for line in f:
+            head = line.split()[0]
+            if "-" in head and not head.endswith(":"):
+                start, end = (int(x, 16) for x in head.split("-"))
+                inside = start <= address < end
+            elif inside and head == "VmFlags:":
+                return line.split()[1:]
+    raise LookupError(hex(address))
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux")
+    or not os.path.exists("/sys/kernel/mm/transparent_hugepage/enabled"),
+    reason="needs Linux with transparent huge pages",
+)
+def test_matrix_map_asks_for_huge_pages():
+    a = model._matrix((1024, 1024))
+    assert "hg" in _vm_flags(a.__array_interface__["data"][0])
+
+
 def test_adopted_matrix_freezes_in_place_and_unfreezes_into_a_kernel():
     want = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
     values = model._matrix((3, 3))
@@ -198,8 +241,16 @@ def test_every_package_matrix_is_mapped(tmp_path, monkeypatch):
         "rbf_kernel": indefinite.dense_values,
         "spectrum_shift": shifted.dense_values,
         "graph_laplacian": graph_laplacian(build_endpoint_graph(t)),
+        "KernelMatrix.dense (factored)": nystrom_kernel(t, "mcp", p=10, seed=0).dense(),
     }
     assert [name for name, arr in matrices.items() if not mapped(arr)] == []
+    # the spectral start's dense normalized Laplacian
+    seen, eig = [], solvers.sym_eig
+    monkeypatch.setattr(
+        solvers, "sym_eig", lambda lap, count: seen.append(lap) or eig(lap, count=count)
+    )
+    solvers.spectral_embedding(k, 5)
+    assert len(seen) == 1 and mapped(seen[0])
     # the endpoint graph's distances are compared once and dropped
     sizes, pages = [], model._pages
     monkeypatch.setattr(model, "_pages", lambda nbytes: sizes.append(nbytes) or pages(nbytes))
