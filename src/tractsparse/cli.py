@@ -325,7 +325,7 @@ def cmd_cluster(args) -> int:
             "unassigned": int(result.unassigned.sum()),
             "iterations": result.iterations,
             "converged": result.converged,
-            "final_cost": result.cost_trace[-1] if result.cost_trace else None,
+            "final_cost": result.cost_trace[-1],
         },
     )
     return 0

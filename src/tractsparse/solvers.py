@@ -122,7 +122,24 @@ class Assignment:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Everything a solver run produced."""
+    """Everything a solver run produced; the one statement of how fits stop.
+
+    ``iterations`` counts sweeps (a W-step, then a dictionary step), at
+    most the budget; ``converged`` is False when the budget ran out. A cost
+    row is `reconstruction_cost` after a sweep; a primal row, gksc_fit's
+    only, the RMS residual ‖W−Z‖_F/√(mn) of the sweep's last inner ADMM
+    step. ``labels`` and ``unassigned`` are the final W's `hard_labels`.
+
+    * kkm_fit: row 0 is the start's cost, then one per sweep that moves a
+      label; a sweep that moves none adds no row and stops, converged.
+    * ksc_fit: a row per sweep; a sweep whose hard labels repeat the last
+      sweep's stops, converged.
+    * gksc_fit: a cost and a primal row per sweep; a sweep whose inner
+      loop met eps_primal and whose cost moved by at most 1e-6 of the last
+      row stops, converged. Under the group prior a sweep that retires a
+      row stops only if none is left, any other also stops if it moved no
+      label, and ``converged`` is whether its inner loop met eps_primal.
+    """
 
     dictionary: Dictionary
     assignment: Assignment
@@ -134,23 +151,30 @@ class FitResult:
     converged: bool
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "unassigned", _frozen_array(self.unassigned, dtype=bool)
-        )
+        object.__setattr__(self, "unassigned", _frozen_array(self.unassigned, dtype=bool))
 
 
-def _fit_result(dictionary, w, cost_trace, primal_trace, iterations, converged):
-    """Package a finished fit; labels and the unassigned mask come from W."""
-    labels, unassigned = hard_labels(w, exclude=dictionary.empty)
+def _run_sweeps(budget: int, sweep, costs=()) -> FitResult:
+    """Run ``sweep(prev_cost)`` up to ``budget`` times and package the fit.
+
+    A sweep returns (dictionary, W, cost, primal, stop). A cost or primal
+    that is not None joins its trace, which ``costs`` may start; a stop
+    that is not None ends the fit as ``converged``.
+    """
+    cost_trace, primal_trace = list(costs), []
+    converged = False
+    for iterations in range(1, budget + 1):
+        dictionary, w, cost, primal, stop = sweep(cost_trace[-1] if cost_trace else None)
+        if cost is not None:
+            cost_trace.append(cost)
+        if primal is not None:
+            primal_trace.append(primal)
+        if stop is not None:
+            converged = stop
+            break
     return FitResult(
-        dictionary=dictionary,
-        assignment=Assignment(w),
-        labels=labels,
-        unassigned=unassigned,
-        cost_trace=tuple(cost_trace),
-        primal_residual_trace=tuple(primal_trace),
-        iterations=iterations,
-        converged=converged,
+        dictionary, Assignment(w), *hard_labels(w, exclude=dictionary.empty),
+        tuple(cost_trace), tuple(primal_trace), iterations, converged,
     )
 
 
@@ -453,9 +477,9 @@ def kkm_fit(k: KernelMatrix, cfg: SolverConfig, init: Labeling | Dictionary) -> 
     """Kernel k-means: alternate nearest-prototype labels and mean prototypes.
 
     ``init`` may be a labeling or a dictionary, whose nearest-prototype
-    labels (`kkm_assign`) start the fit. Stops as soon as a sweep leaves
-    the labels unchanged. Prototypes that lose all members are re-seeded
-    with the currently worst-reconstructed streamline.
+    labels (`kkm_assign`) start the fit. Prototypes that lose all members
+    are re-seeded with the currently worst-reconstructed streamline. See
+    FitResult for the traces and the stop.
     """
     t_outer = _start_budget(k, cfg, init, _KKM_SWEEPS)
     m = cfg.m
@@ -465,22 +489,21 @@ def kkm_fit(k: KernelMatrix, cfg: SolverConfig, init: Labeling | Dictionary) -> 
     atk, atka = _atk_atka(k, a.a)
     kdiag = k.diagonal()
     k_trace = float(kdiag.sum())
-    trace = [_cost(k_trace, atk, atka, w)]
-    converged = False
-    for iterations in range(1, t_outer + 1):
+
+    def sweep(_):
+        nonlocal labels, w, a, atk, atka
         scores = np.diagonal(atka)[:, None] - 2.0 * atk
-        new_labels = np.argmin(scores, axis=0)
-        new_labels = _reseed_empty(new_labels, scores, kdiag, m)
+        new_labels = _reseed_empty(np.argmin(scores, axis=0), scores, kdiag, m)
         if np.array_equal(new_labels, labels):
-            converged = True
-            break
+            return a, w, None, None, True
         labels = new_labels
         w = _one_hot(labels, m)
         a = kkm_dictionary(w)
         # the next sweep assigns against this A, so AᵀK and AᵀKA serve both
         atk, atka = _atk_atka(k, a.a)
-        trace.append(_cost(k_trace, atk, atka, w))
-    return _fit_result(a, w, trace, (), iterations, converged)
+        return a, w, _cost(k_trace, atk, atka, w), None, None
+
+    return _run_sweeps(t_outer, sweep, [_cost(k_trace, atk, atka, w)])
 
 
 # --- sparse coding ---------------------------------------------------------
@@ -588,6 +611,8 @@ def nnkomp(k: KernelMatrix, a, i: int, s_max: int) -> np.ndarray:
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
+    if not 0 <= i < k.n:
+        raise ValueError(f"streamline index i must be in [0, {k.n}), got {i}")
     amat = _as_a(a)
     atk, atka = _atk_atka(k, amat)
     excluded = _empty_flags(a, amat.shape[1])
@@ -660,28 +685,27 @@ def ksc_fit(k: KernelMatrix, cfg: SolverConfig, init: Labeling | Dictionary) -> 
     """Sparsity-capped soft clustering: pursuit for W, multiplicative A.
 
     Each sweep rewrites every column of W with at most s_max non-zero
-    memberships, then refines and prunes the dictionary. Stops early once
-    hard labels repeat. ``init`` may be a labeling (whose per-cluster
-    medoids seed the dictionary) or a ready-made selection dictionary.
+    memberships, then refines and prunes the dictionary; FitResult says
+    when it stops. ``init`` may be a labeling (whose per-cluster medoids
+    seed the dictionary) or a ready-made selection dictionary.
     """
     t_outer = _start_budget(k, cfg, init, _KSC_SWEEPS)
     a = _init_dictionary(init, k)
-    trace = []
-    prev_labels = None
-    converged = False
     k_trace = k.trace()
     atk, atka = _atk_atka(k, a.a)
-    for iterations in range(1, t_outer + 1):
+    prev_labels = None
+
+    def sweep(_):
+        nonlocal a, atk, atka, prev_labels
         w = _pursuit(atk, atka, cfg.s_max, a.empty)
         a = prune_dictionary(mult_update_A(k, w, a))
         atk, atka = _atk_atka(k, a.a)
-        trace.append(_cost(k_trace, atk, atka, w))
         labels = hard_labels(w, exclude=a.empty)[0].labels
-        if prev_labels is not None and np.array_equal(labels, prev_labels):
-            converged = True
-            break
+        repeat = prev_labels is not None and np.array_equal(labels, prev_labels)
         prev_labels = labels
-    return _fit_result(a, w, trace, (), iterations, converged)
+        return a, w, _cost(k_trace, atk, atka, w), None, True if repeat else None
+
+    return _run_sweeps(t_outer, sweep)
 
 
 # --- ADMM variants ---------------------------------------------------------
@@ -778,14 +802,17 @@ def _w_solver(atka: np.ndarray, mu: float, blocks):
     return solve
 
 
-def _admm_w_step(solve, atk, mu, lam1_over_mu, cfg: SolverConfig, rms):
+def _admm_w_step(solve, atk, cfg: SolverConfig):
     """Inner ADMM for W under the L1 term, started from Z = U = 0.
 
     ``solve`` maps a right-hand side to the W-update; it is built once per
     W-step, so any factorization it holds serves every inner step. Returns
     the feasible iterate Z (``shrink_l1`` output, so non-negative), the last
-    RMS primal residual, and whether it fell below eps_primal in t_inner steps.
+    RMS primal residual over cfg.m rows, and whether it fell below
+    eps_primal in t_inner steps.
     """
+    mu, lam1_over_mu = cfg.mu, cfg.lambda1 / cfg.mu
+    rms = np.sqrt(cfg.m * atk.shape[1])
     z = np.zeros_like(atk)
     u = np.zeros_like(atk)
     primal = np.inf
@@ -857,11 +884,9 @@ def _label_vector(z: np.ndarray, live: np.ndarray) -> np.ndarray:
 
 def _group_fit(k: KernelMatrix, cfg: SolverConfig, init, lam2, t_outer) -> FitResult:
     """gksc_fit under the row-group prior; see its docstring."""
-    n, m, mu = k.n, cfg.m, cfg.mu
+    n, m = k.n, cfg.m
     bar = 2.0 * lam2 * np.sqrt(m / n)
-    lam1_over_mu = cfg.lambda1 / mu
     k_trace = k.trace()
-    rms = np.sqrt(m * n)
     live = ~_empty_flags(init, m)
     if isinstance(init, Dictionary):
         a, atk, atka = _unit_atoms(k, init.a)
@@ -872,19 +897,14 @@ def _group_fit(k: KernelMatrix, cfg: SolverConfig, init, lam2, t_outer) -> FitRe
 
     def fit_w():
         idx = np.flatnonzero(live)
-        solve = ridge_solver(atka[np.ix_(idx, idx)], mu)
+        solve = ridge_solver(atka[np.ix_(idx, idx)], cfg.mu)
         z = np.zeros((m, n))
-        z[idx], primal, inner_ok = _admm_w_step(
-            solve, atk[idx], mu, lam1_over_mu, cfg, rms
-        )
+        z[idx], primal, inner_ok = _admm_w_step(solve, atk[idx], cfg)
         return z, primal, inner_ok
 
-    cost_trace = []
-    primal_trace = []
-    prev_cost = None
-    converged = False
-    for iterations in range(1, t_outer + 1):
-        if iterations > 1:
+    def sweep(prev_cost):
+        nonlocal a, atk, atka, labels
+        if prev_cost is not None:
             a, atk, atka = _mean_atoms(k, labels, live, a)
         z, primal, inner_ok = fit_w()
         new_labels = _label_vector(z, live)
@@ -905,18 +925,11 @@ def _group_fit(k: KernelMatrix, cfg: SolverConfig, init, lam2, t_outer) -> FitRe
                     z[j] = 0.0
                 labels = _label_vector(z, live)
         cost = _cost(k_trace, atk, atka, z)
-        cost_trace.append(cost)
-        primal_trace.append(primal)
-        if not live.any():
-            converged = inner_ok
-            break
-        if not retired and (moved == 0 or (inner_ok and _settled(prev_cost, cost))):
-            converged = inner_ok
-            break
-        prev_cost = cost
-    return _fit_result(
-        Dictionary(a, ~live), z, cost_trace, primal_trace, iterations, converged
-    )
+        settled = moved == 0 or (inner_ok and _settled(prev_cost, cost))
+        stop = not live.any() or (not retired and settled)
+        return Dictionary(a, ~live), z, cost, primal, inner_ok if stop else None
+
+    return _run_sweeps(t_outer, sweep)
 
 
 def gksc_fit(
@@ -929,8 +942,7 @@ def gksc_fit(
 
     Each outer sweep runs the inner ADMM for W from Z = U = 0 until the RMS
     primal residual ‖W−Z‖_F/√(mn) drops below eps_primal, then updates the
-    dictionary. The returned assignment is the final Z. A run that stops on
-    the sweep budget is returned with converged=False rather than raising.
+    dictionary. The returned assignment is the final Z; see FitResult.
 
     With a Laplacian, λ_L·tr(WLWᵀ) smooths memberships over the endpoint
     graph: the W-solve becomes the Sylvester equation P·W + W·Q = R with
@@ -956,10 +968,7 @@ def gksc_fit(
     first (the limit of reweighting the group norm), and only once at most
     1 in 200 labels moved in the sweep. W is then refit without the row,
     and the other rows are re-measured with the freed members in later
-    sweeps. The W-step itself carries only the L1 term. The fit
-    stops when no row is below the bar and a sweep leaves the labels
-    unchanged or the cost stable; ``converged`` then reports whether the
-    inner loop met eps_primal.
+    sweeps. The W-step itself carries only the L1 term.
     """
     t_outer = _start_budget(k, cfg, init, _ADMM_SWEEPS)
     n, m, mu = k.n, cfg.m, cfg.mu
@@ -972,29 +981,19 @@ def gksc_fit(
         if lam2 > 0.0:
             return _group_fit(k, cfg, init, lam2, t_outer)
         blocks = []
-    lam1_over_mu = cfg.lambda1 / mu
-
     a = _init_dictionary(init, k)
-    cost_trace = []
-    primal_trace = []
-    prev_cost = None
-    converged = False
-    rms = np.sqrt(m * n)
     k_trace = k.trace()
     atk, atka = _atk_atka(k, a.a)
-    for iterations in range(1, t_outer + 1):
-        solve = _w_solver(atka, mu, blocks)
-        z, primal, inner_ok = _admm_w_step(solve, atk, mu, lam1_over_mu, cfg, rms)
+
+    def sweep(prev_cost):
+        nonlocal a, atk, atka
+        z, primal, inner_ok = _admm_w_step(_w_solver(atka, mu, blocks), atk, cfg)
         a = prune_dictionary(mult_update_A(k, z, a))
         atk, atka = _atk_atka(k, a.a)
         cost = _cost(k_trace, atk, atka, z)
-        cost_trace.append(cost)
-        primal_trace.append(primal)
-        if inner_ok and _settled(prev_cost, cost):
-            converged = True
-            break
-        prev_cost = cost
-    return _fit_result(a, z, cost_trace, primal_trace, iterations, converged)
+        return a, z, cost, primal, True if inner_ok and _settled(prev_cost, cost) else None
+
+    return _run_sweeps(t_outer, sweep)
 
 
 def segment_with_dictionary(

@@ -444,8 +444,10 @@ def _fit_variants():
     ]
 
 
-@pytest.mark.parametrize("fit, fields", _fit_variants(),
-                         ids=["kkm", "ksc", "gksc", "gksc-l1", "gksc-manifold"])
+_FIT_IDS = ["kkm", "ksc", "gksc", "gksc-l1", "gksc-manifold"]
+
+
+@pytest.mark.parametrize("fit, fields", _fit_variants(), ids=_FIT_IDS)
 @pytest.mark.parametrize("size", [11, 13])
 def test_every_fit_rejects_a_start_of_the_wrong_size(fit, fields, size):
     k = rbf_from_points(axis_blobs(np.random.default_rng(15), per=4)[0])
@@ -454,6 +456,44 @@ def test_every_fit_rejects_a_start_of_the_wrong_size(fit, fields, size):
     for init in starts:
         with pytest.raises(ValueError, match="init covers"):
             fit(k, cfg, init)
+
+
+@pytest.mark.parametrize("fit, fields", _fit_variants(), ids=_FIT_IDS)
+def test_every_fit_keeps_the_stop_contract(fit, fields):
+    """Trace lengths, iterations and converged relate as FitResult says."""
+    x, truth = axis_blobs(np.random.default_rng(16), per=10)
+    k = rbf_from_points(x)
+    start = Labeling(np.roll(truth, 1), m=3)  # one stray label per cluster
+    for t_outer in (1, None):
+        res = fit(k, SolverConfig(m=3, t_outer=t_outer, **fields), start)
+        costs, primals = len(res.cost_trace), len(res.primal_residual_trace)
+        assert res.cost_trace and 1 <= res.iterations <= (t_outer or 100)
+        if fit is kkm_fit:
+            # row 0 is the start's cost; a converging sweep adds no row
+            assert costs == res.iterations + (not res.converged)
+            assert primals == 0
+            assert res.converged == (t_outer is None)  # both stops are seen
+        elif fit is ksc_fit:
+            assert costs == res.iterations and primals == 0
+            assert not (t_outer == 1 and res.converged)
+        else:
+            assert costs == primals == res.iterations
+
+
+def test_run_sweeps_stops_on_any_stop_that_is_not_none():
+    d = Dictionary(np.eye(2))
+    w = np.eye(2)
+    seen = []
+
+    def sweep(prev_cost):
+        seen.append(prev_cost)
+        return d, w, 2.0 + len(seen), None, False if len(seen) == 2 else None
+
+    res = solvers._run_sweeps(5, sweep, costs=[1.0])
+    assert seen == [1.0, 3.0]
+    assert res.cost_trace == (1.0, 3.0, 4.0) and res.primal_residual_trace == ()
+    assert res.iterations == 2 and res.converged is False
+    assert res.labels.labels.tolist() == [0, 1]
 
 
 def test_kkm_dictionary_is_normalized_indicator():
@@ -570,6 +610,13 @@ def test_pursuit_rejects_bad_budget():
     k = KernelMatrix(2, 1.0, 0.0, dense_values=np.eye(2))
     with pytest.raises(ValueError):
         nnkomp(k, np.eye(2), 0, 0)
+
+
+@pytest.mark.parametrize("i", [-1, 2])
+def test_nnkomp_rejects_an_index_outside_the_kernel(i):
+    k = KernelMatrix(2, 1.0, 0.0, dense_values=np.eye(2))
+    with pytest.raises(ValueError, match=r"\[0, 2\)"):
+        nnkomp(k, np.eye(2), i, 1)
 
 
 def count_nnls(monkeypatch):
