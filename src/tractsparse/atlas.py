@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .distances import MEASURES, cross_distances, pairwise_distances
+from .distances import MEASURES, pairwise_distances
 from .errors import AtlasVersionMismatch, EmptyTractogram, FormatError
 from .io import _atomic_write_text, read_dense_csv, read_slb, write_dense_csv, write_slb
-from .kernel import _kernel_in_distance_buffer, _rbf_values
+from .kernel import _anchor_kernels, _kernel_in_distance_buffer
 from .model import Labeling, SolverConfig, Tractogram, validate_tractogram
 from .solvers import (
     Assignment,
@@ -135,19 +135,19 @@ def segment_with_atlas(
     ksc atlas costs m training streamlines, not the whole pool; for its
     one-non-zero columns W is bitwise the same as with the full set. For a
     hand-built dictionary with several non-zeros per column the shorter sums
-    may differ in the last bits.
-
-    The new streamlines are validated once, by `cross_distances`, before
-    any distance is computed.
+    may differ in the last bits. One training-first distance pass gives both
+    kernels (see `_anchor_kernels`). ``new_t`` is validated first, so an
+    error names a bad streamline by its index there.
     """
     if measure is not None and measure != atlas.measure:
         raise AtlasVersionMismatch(
             f"atlas was built with measure {atlas.measure!r}, not {measure!r}"
         )
-    d_cross = cross_distances(atlas.training, new_t, atlas.measure, threads=threads)
-    cross = _rbf_values(d_cross, atlas.gamma)
-    d_train = pairwise_distances(atlas.training, atlas.measure, threads=threads)
-    k_train = _kernel_in_distance_buffer(d_train, atlas.gamma, atlas.shift)
+    validate_tractogram(new_t)
+    k_train, cross = _anchor_kernels(
+        Tractogram(atlas.training.streamlines + new_t.streamlines), len(atlas.training),
+        atlas.measure, threads, atlas.gamma, atlas.shift,
+    )
     assignment, labels, unassigned = segment_with_dictionary(
         k_train, atlas.dictionary, cross, atlas.s_max
     )

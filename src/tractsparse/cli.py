@@ -216,8 +216,6 @@ def _build_kernel(args, tract, timer):
     if not 1 <= args.m <= len(tract):
         raise UsageError(f"--m must be in [1, {len(tract)}], got {args.m}")
     if args.nystrom is not None:
-        if args.dist is not None:
-            raise UsageError("--nystrom computes its own distances; drop --dist")
         if not 1 <= args.nystrom <= len(tract):
             raise UsageError(
                 f"--nystrom must be in [1, {len(tract)}], got {args.nystrom}"
@@ -259,6 +257,10 @@ def cmd_cluster(args) -> int:
     for flag, name, methods in _METHOD_FLAGS:
         if getattr(args, name) is not None and args.method not in methods:
             raise UsageError(f"{flag} applies to {' and '.join(methods)} only")
+    for flag in ("measure", "nystrom"):
+        if args.dist is not None and getattr(args, flag) is not None:
+            raise UsageError(f"--{flag} applies to computed distances; drop --dist")
+    args.measure = None if args.dist else args.measure or "mcp"
     if args.lambdaL == 0:
         raise UsageError("--lambdaL must be > 0; without smoothing use --method gksc --lambda2 0")
     manifold = args.method == "gksc-manifold"
@@ -423,7 +425,7 @@ def cmd_segment(args) -> int:
     atlas_files = sorted(p for p in atlas_dir.iterdir() if p.is_file())
     _write_manifest(
         out, "segment",
-        {"atlas": str(args.atlas), "s_max": args.smax, "threads": args.threads},
+        {"atlas": str(args.atlas), "s_max": atlas.s_max, "threads": args.threads},
         atlas_files + [Path(args.infile)], None, timer,
         extra={"unassigned": int(seg.unassigned.sum()), "m": atlas.m},
     )
@@ -464,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="fit a clustering model")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--dist", help="precomputed .dm file (else computed inline)")
-    p.add_argument("--measure", choices=sorted(MEASURES), default="mcp")
+    p.add_argument("--measure", choices=sorted(MEASURES), default=None,
+                   help="distance measure when no --dist is given (default mcp)")
     p.add_argument(
         "--method", choices=["kkm", "ksc", "gksc", "gksc-manifold"], required=True,
     )

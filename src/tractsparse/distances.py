@@ -383,7 +383,9 @@ def cross_distances(
     """Rectangular distance block between two streamline sets.
 
     Entry (i, j) is the same symmetrized measure ``pairwise_distances`` uses,
-    so ``cross_distances(t, t)`` equals the square matrix bit for bit. One
+    so ``cross_distances(t, t)`` equals the square matrix bit for bit, as do
+    the first ``len(a)`` columns when b lists a first (see
+    ``kernel._anchor_kernels``). One
     pass over the a × b point blocks serves both directions. Blocks are
     bounded by point pairs, not by points per side (see `_cross_tiles`), so
     against m streamlines of P points in all it runs about one block per

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import MEASURES, DistanceMatrix, cross_distances, pairwise_distances
+from .distances import DistanceMatrix, cross_distances
 from .errors import AllZeroDistances, RankDeficientWarning
 from .linalg import _symmetric_within, sym_eig
 from .model import (
@@ -237,18 +237,17 @@ def _kernel_in_distance_buffer(d: DistanceMatrix, gamma=None, shift=None) -> Ker
     return _shifted_rbf(d.values, gamma, shift)
 
 
-def _nystrom_factor(k_aa: np.ndarray, k_ab: np.ndarray):
-    """Low-rank factor rows from the landmark block and the cross block.
+def _anchor_kernels(t, p, measure, threads, gamma=None, shift=None):
+    """The shifted kernel of t's first p streamlines and their rows against the rest.
 
-    Keeps the landmark eigenpairs (w, V) with w above `_EIG_FLOOR_REL`·λ_max
-    and returns the (p+q)×r factor [V·√w; K_abᵀ·V/√w] in landmark-first row
-    order, r ≤ p, with the number of dropped eigenpairs.
+    Of the one p×n `cross_distances` block, the first p columns are those
+    anchors' square matrix bit for bit; a copy of them goes to
+    `_shifted_rbf` (``gamma`` and ``shift`` as there). The rest become
+    exp(−γ·d²) in place and are returned as a p×(n−p) view.
     """
-    w, v = sym_eig(k_aa)
-    keep = w > _EIG_FLOOR_REL * w[-1]
-    w, v = w[keep], v[:, keep]
-    root = np.sqrt(w)
-    return np.vstack([v * root, (k_ab.T @ v) / root]), int(keep.size - keep.sum())
+    d = cross_distances(Tractogram(t.streamlines[:p]), t, measure, threads=threads)
+    k = _shifted_rbf(_matrix_copy(d[:, :p]), gamma, shift)
+    return k, _rbf_values(d[:, p:], k.gamma)
 
 
 def nystrom_kernel(
@@ -267,10 +266,9 @@ def nystrom_kernel(
     with r ≤ p: landmark eigenpairs too small to invert are dropped. With
     ``gamma`` None the width is the landmark block's, chosen as for the
     dense kernel (γ = 1 with a warning when those distances are all zero,
-    and for a single landmark).
+    and for a single landmark). Both blocks come from one landmarks-first
+    distance pass (see `_anchor_kernels`).
     """
-    if measure not in MEASURES:
-        raise ValueError(f"unknown measure {measure!r}, expected one of {MEASURES}")
     validate_tractogram(t)
     n = len(t)
     if not 1 <= p <= n:
@@ -279,19 +277,13 @@ def nystrom_kernel(
     rng = np.random.default_rng(seed)
     landmarks = np.sort(rng.choice(n, size=p, replace=False))
     rest = np.setdiff1d(np.arange(n), landmarks)
-
-    t_land = Tractogram(tuple(t[i] for i in landmarks))
-    d_aa = pairwise_distances(t_land, measure, threads=threads)
-    k_aa = _kernel_in_distance_buffer(d_aa, 1.0 if gamma is None and p < 2 else gamma)
-
-    if rest.size:
-        t_rest = Tractogram(tuple(t[i] for i in rest))
-        d_ab = cross_distances(t_land, t_rest, measure, threads=threads)
-        k_ab = _rbf_values(d_ab, k_aa.gamma)
-    else:
-        k_ab = np.zeros((p, 0))
-
-    g_blocks, dropped = _nystrom_factor(k_aa.dense_values, k_ab)
+    k_aa, k_ab = _anchor_kernels(
+        Tractogram(tuple(t[i] for i in np.concatenate([landmarks, rest]))), p, measure,
+        threads, 1.0 if gamma is None and p < 2 else gamma,
+    )
+    w, v = sym_eig(k_aa.dense_values)
+    keep = w > _EIG_FLOOR_REL * w[-1]
+    dropped = int(keep.size - keep.sum())
     if dropped > p / 2:
         warnings.warn(
             f"{dropped} of {p} landmark eigenvalues were dropped; the "
@@ -299,9 +291,11 @@ def nystrom_kernel(
             RankDeficientWarning,
             stacklevel=2,
         )
-    g = np.empty((n, g_blocks.shape[1]))
-    g[landmarks] = g_blocks[:p]
-    g[rest] = g_blocks[p:]
+    w, v = w[keep], v[:, keep]
+    root = np.sqrt(w)
+    g = np.empty((n, root.size))
+    g[landmarks] = v * root
+    g[rest] = (k_ab.T @ v) / root
     return _adopt(
         KernelMatrix, n=n, gamma=k_aa.gamma, shift=k_aa.shift, factor=g,
         landmarks=landmarks,

@@ -16,6 +16,7 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy.spatial.distance import cdist
 
 from oracles import (
@@ -35,9 +36,9 @@ from tractsparse.distances import (
     graph_laplacian,
     pairwise_distances,
 )
+from tractsparse.errors import RankDeficientWarning
 from tractsparse.kernel import (
     KernelMatrix,
-    _nystrom_factor,
     kernel_from_distances,
     nystrom_kernel,
 )
@@ -374,10 +375,14 @@ def test_landmark_factorization_reconstructs_kernel():
     )
     assert rel <= 1e-6
 
-    rng = np.random.default_rng(3)
-    v = rng.normal(size=(60, 3))
-    k_low = v @ v.T
-    g, _ = _nystrom_factor(k_low[:10, :10], k_low[:10, 10:])
+    # Copies of three parallel lines at Euclidean offsets have a rank-3
+    # kernel, which ten landmarks that hold all three lines reproduce.
+    base = np.linspace([0.0, 0.0, 0.0], [0.0, 0.0, 30.0], 6)
+    lines = [Streamline(base + [x, 0.0, 0.0]) for x in (0.0, 10.0, 30.0)]
+    low = Tractogram(tuple(lines[i % 3] for i in range(60)))
+    k_low = kernel_from_distances(pairwise_distances(low, "mcp"), 0.01).dense()
+    with pytest.warns(RankDeficientWarning):
+        g = nystrom_kernel(low, "mcp", gamma=0.01, p=10, seed=3).factor
     rel = np.linalg.norm(g @ g.T - k_low) / np.linalg.norm(k_low)
     assert rel <= 1e-6
     assert time.perf_counter() - t0 < 5.0

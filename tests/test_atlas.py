@@ -11,10 +11,12 @@ from tractsparse.atlas import (
     save_atlas,
     segment_with_atlas,
 )
+from tractsparse.distances import cross_distances, pairwise_distances
 from tractsparse.errors import AtlasVersionMismatch, EmptyTractogram, FormatError
 from tractsparse.io import read_slb, write_dense_csv, write_slb
+from tractsparse.kernel import _kernel_in_distance_buffer
 from tractsparse.metrics import adjusted_rand_index
-from tractsparse.solvers import Dictionary
+from tractsparse.solvers import Dictionary, segment_with_dictionary
 from tractsparse.synth import preset_separated5
 
 
@@ -64,6 +66,27 @@ def test_roundtrip_preserves_segmentation(tmp_path, built):
     after = segment_with_atlas(back, tg_new, threads=2)
     assert np.array_equal(before.labels.labels, after.labels.labels)
     assert np.array_equal(before.assignment.w, after.assignment.w)
+
+
+def test_segmentation_equals_separately_built_kernels(tmp_path, built):
+    # The training kernel from its own square distance matrix and the cross
+    # rows from their own block give the same bits as the one block
+    # segment_with_atlas computes, for the whole pool and for the atom rows.
+    _, _, atlas, _ = built
+    tg_new, _ = preset_separated5(seed=15, total_count=150)
+    for a in (atlas, load_atlas(save_atlas(atlas, tmp_path / "pop.atlas"))):
+        k_train = _kernel_in_distance_buffer(
+            pairwise_distances(a.training, a.measure), a.gamma, a.shift
+        )
+        cross = np.exp(-a.gamma * cross_distances(a.training, tg_new, a.measure) ** 2)
+        w, labels, unassigned = segment_with_dictionary(
+            k_train, a.dictionary, cross, a.s_max
+        )
+        for threads in (1, 2):
+            seg = segment_with_atlas(a, tg_new, threads=threads)
+            assert seg.assignment.w.tobytes() == w.w.tobytes()
+            assert np.array_equal(seg.labels.labels, labels.labels)
+            assert np.array_equal(seg.unassigned, unassigned)
 
 
 def support_rows(atlas):

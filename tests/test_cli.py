@@ -359,6 +359,21 @@ def test_cluster_unset_flags_record_solver_defaults(workdir, tmp_path, method):
         assert config[key] == recorded[key] == getattr(defaults, key)
 
 
+def test_cluster_measure_with_dist_is_usage_error(workdir, tmp_path, capsys):
+    # A precomputed matrix already has its measure; a --measure beside it
+    # would be recorded but never applied.
+    base = ["cluster", "--in", str(workdir / "data" / "tract.slb"),
+            "--method", "ksc", "--m", "2"]
+    dist = ["--dist", str(workdir / "d.dm")]
+    assert main(base + dist + ["--measure", "haus", "--out", str(tmp_path / "x")]) == 2
+    assert "--measure" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    for extra, used in ((dist, None), ([], "mcp"), (["--measure", "haus"], "haus")):
+        out = tmp_path / f"fit-{used}"
+        assert main(base + extra + ["--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["measure"] == used
+
+
 @pytest.fixture(scope="module")
 def separated5(tmp_path_factory):
     """`synth separated5 --seed 0` (n = 1000, where the partial eigensolves run
@@ -567,6 +582,18 @@ def test_atlas_build_and_segment(workdir, tmp_path):
     assert agree >= 0.95
     manifest = json.loads((seg / "manifest.json").read_text())
     assert manifest["result"]["m"] == 2
+
+
+def test_segment_manifest_records_applied_smax(workdir, tmp_path):
+    atlas = tmp_path / "ref.atlas"
+    assert main(["atlas-build", "--in", str(workdir / "data" / "tract.slb"),
+                 "--m", "2", "--smax", "2", "--out", str(atlas)]) == 0
+    for extra, s_max in (([], 2), (["--smax", "1"], 1)):
+        seg = tmp_path / f"seg{s_max}"
+        assert main(["segment", "--atlas", str(atlas),
+                     "--in", str(workdir / "data" / "tract.slb"),
+                     "--out", str(seg)] + extra) == 0
+        assert json.loads((seg / "manifest.json").read_text())["config"]["s_max"] == s_max
 
 
 def test_atlas_build_manifest_counts_stored_training(workdir, tmp_path):

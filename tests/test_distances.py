@@ -300,6 +300,19 @@ def test_cross_distances_matches_pairwise(name):
     assert np.array_equal(
         cross_distances(t, t, name), pairwise_distances(t, name).values
     )
+    # Anchors listed first in a larger set, over several tiles (ep needs
+    # more than 256 streamlines for that): the first columns are the
+    # anchors' square matrix, which the Nyström factor and atlas
+    # segmentation take from one cross block.
+    a = random_tractogram(rng, 300)
+    b = random_tractogram(rng, 40)
+    assert len(distances._tiles(a, name)) > 1
+    for threads in (1, 3):
+        block = cross_distances(a, Tractogram(a.streamlines + b.streamlines), name,
+                                threads=threads)
+        assert block[:, : len(a)].tobytes() == pairwise_distances(
+            a, name, threads=threads
+        ).values.tobytes()
 
 
 @pytest.mark.parametrize("name", ["mcp", "haus", "ep"])

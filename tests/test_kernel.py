@@ -6,12 +6,11 @@ import pytest
 
 from footprint import random_distances, traced_peak
 from tractsparse import Streamline, Tractogram, kernel, linalg, pairwise_distances
-from tractsparse.distances import DistanceMatrix
+from tractsparse.distances import DistanceMatrix, cross_distances
 from tractsparse.errors import AllZeroDistances, RankDeficientWarning
 from tractsparse.kernel import (
     KernelMatrix,
     _kernel_in_distance_buffer,
-    _nystrom_factor,
     kernel_from_distances,
     nystrom_kernel,
     rbf_kernel,
@@ -268,13 +267,60 @@ def test_nystrom_all_landmarks_reproduces_dense():
     assert np.array_equal(fact.landmarks, np.arange(15))
 
 
+def three_lines(n):
+    """n streamlines, copies of three parallel lines at 0, 10 and 30 mm.
+
+    The distances between the lines are Euclidean, so the RBF kernel is
+    positive semi-definite of rank 3.
+    """
+    base = np.linspace([0.0, 0.0, 0.0], [0.0, 0.0, 30.0], 6)
+    lines = [Streamline(base + [x, 0.0, 0.0]) for x in (0.0, 10.0, 30.0)]
+    return Tractogram(tuple(lines[i % 3] for i in range(n)))
+
+
 def test_nystrom_factor_low_rank_exact():
-    rng = np.random.default_rng(9)
-    v = rng.normal(size=(40, 3))
-    k = v @ v.T
-    g, floored = _nystrom_factor(k[:10, :10], k[:10, 10:])
-    assert floored == 7
+    t = three_lines(40)
+    k = rbf_kernel(pairwise_distances(t), 0.01).dense()
+    with pytest.warns(RankDeficientWarning, match="7 of 10"):
+        g = nystrom_kernel(t, "mcp", gamma=0.01, p=10, seed=0).factor
+    assert g.shape == (40, 3)
     assert np.linalg.norm(g @ g.T - k) <= 1e-6 * np.linalg.norm(k)
+
+
+def two_pass_nystrom(t, measure, p, seed):
+    """The factor from two distance passes, the landmarks' square matrix and
+    then the landmarks against the rest, each product over its own rows."""
+    n = len(t)
+    landmarks = np.sort(np.random.default_rng(seed).choice(n, size=p, replace=False))
+    rest = np.setdiff1d(np.arange(n), landmarks)
+    t_land = Tractogram(tuple(t[i] for i in landmarks))
+    k_aa = kernel_from_distances(pairwise_distances(t_land, measure))
+    d_ab = cross_distances(t_land, Tractogram(tuple(t[i] for i in rest)), measure)
+    w, v = sym_eig(k_aa.dense_values)
+    keep = w > 1e-10 * w[-1]
+    v, root = v[:, keep], np.sqrt(w[keep])
+    g = np.empty((n, root.size))
+    g[landmarks] = v * root
+    g[rest] = (np.exp(-k_aa.gamma * d_ab**2).T @ v) / root
+    return g, landmarks, k_aa.gamma, k_aa.shift
+
+
+@pytest.fixture(scope="module")
+def sep5_700():
+    return preset_separated5(seed=0, total_count=700)[0]
+
+
+@pytest.mark.parametrize("p", [64, 300])
+@pytest.mark.parametrize("measure", ["mcp", "ep"])
+def test_nystrom_factor_matches_two_pass_construction(sep5_700, measure, p):
+    # One landmarks-first block gives the bits of two passes. A single
+    # product over all n rows of that block would not: with threaded BLAS
+    # it moves the last bit of some rows at p = 300.
+    k = nystrom_kernel(sep5_700, measure, p=p, seed=0)
+    g, landmarks, gamma, shift = two_pass_nystrom(sep5_700, measure, p, 0)
+    assert k.factor.tobytes() == g.tobytes()
+    assert np.array_equal(k.landmarks, landmarks)
+    assert (k.gamma, k.shift) == (gamma, shift)
 
 
 @pytest.fixture(scope="module")
