@@ -7,7 +7,8 @@ timings. Output artifacts are byte-stable for a fixed seed; the manifest
 itself is not part of that contract because of the timings, which is why
 it also carries the output hashes.
 
-Exit codes: 0 success, 2 usage, 3 bad input data, 4 numerical failure.
+Exit codes: 0 success, 1 internal error (an exception of no documented
+kind), 2 usage, 3 bad input data, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -354,14 +355,14 @@ def cmd_metrics(args) -> int:
         print(payload_json)
         return 0
     out = Path(args.out)
+    fmt = "csv" if out.suffix == ".csv" else "json"
     with timer.stage("write"):
-        if out.suffix == ".csv":
+        if fmt == "csv":
             _atomic_write_text(out, report.csv_header() + "\n" + report.to_csv_row() + "\n")
         else:
             _atomic_write_text(out, payload_json + "\n")
     inputs = [Path(p) for p in (args.pred, args.truth, args.dist) if p]
-    _write_manifest(out, "metrics", {"format": out.suffix.lstrip(".") or "json"},
-                    inputs, [out], timer)
+    _write_manifest(out, "metrics", {"format": fmt}, inputs, [out], timer)
     return 0
 
 
@@ -546,12 +547,15 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError, ValueError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        print(f"error: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

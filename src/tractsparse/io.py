@@ -5,9 +5,11 @@ so the same input hashes identically across platforms. Text and CSV
 mirrors exist for inspection and interop; floats there are written with
 shortest round-trip repr, so they reload exactly as well. Every writer
 goes through a temporary file in the target directory followed by an
-atomic rename. Matrix payloads are written a row or block at a time and
-read straight into the array they fill, so neither direction holds a
-second copy of an n×n matrix.
+atomic rename. Binary matrix payloads are written a row or block at a
+time and read straight into the array they fill, so neither direction
+holds a second copy of an n×n matrix. A dense CSV is encoded a row at a
+time, so its writer holds the encoded text and one row of Python floats,
+never the whole matrix as Python objects.
 """
 
 from __future__ import annotations
@@ -383,9 +385,10 @@ def read_km(path) -> KernelMatrix:
 # --- CSV matrix helpers ----------------------------------------------------
 
 def write_dense_csv(arr, path):
+    """One line per row, encoded a row at a time into the pieces written."""
     arr = np.atleast_2d(np.asarray(arr, dtype=np.float64))
-    lines = [",".join(map(repr, row)) for row in arr.tolist()]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = [(",".join(map(repr, row.tolist())) + "\n").encode() for row in arr]
+    _atomic_write_bytes(path, _Chunks(rows))
 
 
 def read_dense_csv(path) -> np.ndarray:

@@ -34,39 +34,47 @@ def _contingency(a: np.ndarray, b: np.ndarray):
     return table
 
 
-def _pairs(x) -> int:
-    x = np.asarray(x, dtype=np.int64)
-    return int((x * (x - 1) // 2).sum())
+def _pairs(x) -> np.ndarray:
+    """The number of item pairs within each count of ``x``."""
+    return x * (x - 1) // 2
 
 
-def _pair_table(a, b):
-    """Item-pair count and contingency table of two labelings.
+def _rand_scores(a, b):
+    """Rand index, adjusted Rand index and normalized ARI; truth comes first.
 
-    The table is None when there are fewer than two items, so no pairs.
+    One contingency table feeds all three. Each score is 1 when there are
+    no item pairs. Where a chance correction's denominator vanishes, the
+    score is 1 for identical partitions, else 0.
     """
     a, b = _as_labels(a), _as_labels(b)
     if a.size != b.size:
         raise LengthMismatch(f"labelings have lengths {a.size} and {b.size}")
     total = a.size * (a.size - 1) // 2
-    return total, _contingency(a, b) if total else None
-
-
-def _identical_partitions(table: np.ndarray) -> bool:
-    return bool(
-        ((table > 0).sum(axis=0) <= 1).all() and ((table > 0).sum(axis=1) <= 1).all()
-    )
+    if total == 0:
+        return 1.0, 1.0, 1.0
+    table = _contingency(a, b)
+    in_rows = _pairs(table).sum(axis=1)
+    row_pairs = _pairs(table.sum(axis=1))
+    s_ab, s_a, s_b = (int(x.sum()) for x in (in_rows, row_pairs, _pairs(table.sum(axis=0))))
+    # every row and column holds an item, so one cell each means a bijection
+    identical = float(np.count_nonzero(table) == table.shape[0] == table.shape[1])
+    # agreements = co-clustered in both + separated in both
+    ri = (total + 2 * s_ab - s_a - s_b) / total
+    expected = s_a * s_b / total
+    maximum = (s_a + s_b) / 2.0
+    ari = identical if maximum == expected else (s_ab - expected) / (maximum - expected)
+    # each truth cluster's within-cluster agreement rate; one with no pairs
+    # counts as fully agreed
+    none = row_pairs == 0
+    index_w = float(((in_rows + none) / (row_pairs + none)).mean())
+    p_b = s_b / total
+    nari = identical if p_b == 1.0 else (index_w - p_b) / (1.0 - p_b)
+    return ri, ari, nari
 
 
 def rand_index(a, b) -> float:
     """Fraction of item pairs on which two labelings agree."""
-    total, table = _pair_table(a, b)
-    if total == 0:
-        return 1.0
-    s_ab = _pairs(table.ravel())
-    s_a = _pairs(table.sum(axis=1))
-    s_b = _pairs(table.sum(axis=0))
-    # agreements = co-clustered in both + separated in both
-    return (total + 2 * s_ab - s_a - s_b) / total
+    return _rand_scores(a, b)[0]
 
 
 def adjusted_rand_index(a, b) -> float:
@@ -75,17 +83,7 @@ def adjusted_rand_index(a, b) -> float:
     When the correction denominator vanishes (both labelings all-singleton
     or both one-cluster) the value is 1 for identical partitions, else 0.
     """
-    total, table = _pair_table(a, b)
-    if total == 0:
-        return 1.0
-    s_ab = _pairs(table.ravel())
-    s_a = _pairs(table.sum(axis=1))
-    s_b = _pairs(table.sum(axis=0))
-    expected = s_a * s_b / total
-    maximum = (s_a + s_b) / 2.0
-    if maximum == expected:
-        return 1.0 if _identical_partitions(table) else 0.0
-    return (s_ab - expected) / (maximum - expected)
+    return _rand_scores(a, b)[1]
 
 
 def normalized_ari(truth, predicted) -> float:
@@ -96,22 +94,7 @@ def normalized_ari(truth, predicted) -> float:
     average is chance-corrected against the predicted cluster sizes. A
     singleton ground-truth cluster has no pairs and counts as fully agreed.
     """
-    total, table = _pair_table(truth, predicted)
-    if total == 0:
-        return 1.0
-    sizes_a = table.sum(axis=1)
-    rates = np.empty(sizes_a.size)
-    for k, row in enumerate(table):
-        cluster_pairs = _pairs([sizes_a[k]])
-        if cluster_pairs == 0:
-            rates[k] = 1.0
-        else:
-            rates[k] = _pairs(row) / cluster_pairs
-    index_w = float(rates.mean())
-    p_b = _pairs(table.sum(axis=0)) / total
-    if p_b == 1.0:
-        return 1.0 if _identical_partitions(table) else 0.0
-    return (index_w - p_b) / (1.0 - p_b)
+    return _rand_scores(truth, predicted)[2]
 
 
 def silhouette(d: DistanceMatrix, labels):
@@ -197,10 +180,7 @@ def compute_metrics(truth, predicted, d: DistanceMatrix | None = None) -> Metric
     pl = _as_labels(predicted)
     ri = ari = nari = None
     if truth is not None:
-        tl = _as_labels(truth)
-        ri, ari, nari = (
-            rand_index(tl, pl), adjusted_rand_index(tl, pl), normalized_ari(tl, pl)
-        )
+        ri, ari, nari = _rand_scores(truth, pl)
     uniq, counts = np.unique(pl, return_counts=True)
     sil = None
     per_cluster = None

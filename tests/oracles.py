@@ -3,11 +3,15 @@
 Everything here is deliberately naive: plain Python loops, no vectorized
 shortcuts, no shared code with the package. Where a test asserts bitwise
 equality, the oracle accumulates sums sequentially, which is the ordering
-the library reproduces.
+the library reproduces. The ``table_*`` scores are the exception: they
+keep an earlier NumPy form of the package's own scorers, so that a rewrite
+can be checked against them bit for bit.
 """
 
 import math
 from itertools import combinations
+
+import numpy as np
 
 
 def _pairwise(p, q):
@@ -104,6 +108,80 @@ def _label_pairs(labels):
     for v in labels:
         counts[v] = counts.get(v, 0) + 1
     return sum(c * (c - 1) // 2 for c in counts.values())
+
+
+# --- pair-counting scores, one contingency table per call -------------------
+# These are the three separate scorer bodies the package used before its
+# scores came from one shared table. The package must match them bit for
+# bit, so they keep its NumPy reductions and operation order.
+
+def _table_contingency(a, b):
+    ua, ia = np.unique(a, return_inverse=True)
+    ub, ib = np.unique(b, return_inverse=True)
+    return np.bincount(ia * ub.size + ib, minlength=ua.size * ub.size).reshape(
+        ua.size, ub.size
+    )
+
+
+def _table_pairs(x):
+    x = np.asarray(x, dtype=np.int64)
+    return int((x * (x - 1) // 2).sum())
+
+
+def _table(a, b):
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    assert a.size == b.size
+    total = a.size * (a.size - 1) // 2
+    return total, _table_contingency(a, b) if total else None
+
+
+def _table_identical(table):
+    return bool(
+        ((table > 0).sum(axis=0) <= 1).all() and ((table > 0).sum(axis=1) <= 1).all()
+    )
+
+
+def table_rand_index(a, b):
+    total, table = _table(a, b)
+    if total == 0:
+        return 1.0
+    s_ab = _table_pairs(table.ravel())
+    s_a = _table_pairs(table.sum(axis=1))
+    s_b = _table_pairs(table.sum(axis=0))
+    return (total + 2 * s_ab - s_a - s_b) / total
+
+
+def table_ari(a, b):
+    total, table = _table(a, b)
+    if total == 0:
+        return 1.0
+    s_ab = _table_pairs(table.ravel())
+    s_a = _table_pairs(table.sum(axis=1))
+    s_b = _table_pairs(table.sum(axis=0))
+    expected = s_a * s_b / total
+    maximum = (s_a + s_b) / 2.0
+    if maximum == expected:
+        return 1.0 if _table_identical(table) else 0.0
+    return (s_ab - expected) / (maximum - expected)
+
+
+def table_nari(truth, predicted):
+    total, table = _table(truth, predicted)
+    if total == 0:
+        return 1.0
+    sizes_a = table.sum(axis=1)
+    rates = np.empty(sizes_a.size)
+    for k, row in enumerate(table):
+        cluster_pairs = _table_pairs([sizes_a[k]])
+        if cluster_pairs == 0:
+            rates[k] = 1.0
+        else:
+            rates[k] = _table_pairs(row) / cluster_pairs
+    index_w = float(rates.mean())
+    p_b = _table_pairs(table.sum(axis=0)) / total
+    if p_b == 1.0:
+        return 1.0 if _table_identical(table) else 0.0
+    return (index_w - p_b) / (1.0 - p_b)
 
 
 def naive_silhouette(d, labels):

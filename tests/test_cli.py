@@ -19,7 +19,6 @@ from footprint import traced_peak
 import tractsparse
 from tractsparse import Streamline, Tractogram, cli, distances, linalg, synth
 from tractsparse.cli import main
-from tractsparse.errors import FormatError
 from tractsparse.io import (
     read_dm,
     read_km,
@@ -147,11 +146,22 @@ def test_undecodable_labels_exit_3_through_data_error(workdir, tmp_path, capsys,
     argv = ["metrics", "--pred", str(pred), "--truth", str(workdir / "data" / "labels.txt")]
     assert main(argv) == 3
     assert f"{pred}: not UTF-8 text" in capsys.readouterr().err
-    # with the DataError branch disabled, the exit-3 catch-all of ValueError
-    # (a bare UnicodeDecodeError is one) does not catch it
+    # with the DataError branch disabled, nothing else maps it to exit 3: it
+    # ends as an exception of no documented kind
     monkeypatch.setattr(cli, "DataError", type("Unrelated", (Exception,), {}))
-    with pytest.raises(FormatError):
-        main(argv)
+    assert main(argv) == 1
+    assert "error: internal error (FormatError)" in capsys.readouterr().err
+
+
+def test_untyped_exception_exits_1_with_an_error_line(workdir, monkeypatch, capsys):
+    def broken(truth, pred, d=None):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "compute_metrics", broken)
+    labels = str(workdir / "data" / "labels.txt")
+    assert main(["metrics", "--pred", labels, "--truth", labels]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: internal error (ValueError): a bug, not bad input\n"
 
 
 @pytest.fixture(scope="module")
@@ -536,6 +546,22 @@ def test_metrics_csv_output(workdir, tmp_path):
     header, row = out.read_text().strip().splitlines()
     assert header == "ri,ari,nari,silhouette,n_clusters,min_size,max_size"
     assert row.split(",")[1] == "1.0"
+
+
+@pytest.mark.parametrize("name, fmt", [
+    ("m.csv", "csv"), ("m.json", "json"), ("m.txt", "json"), ("m.CSV", "json"), ("m", "json"),
+])
+def test_metrics_manifest_records_the_format_written(workdir, tmp_path, name, fmt):
+    truth = str(workdir / "data" / "labels.txt")
+    out = tmp_path / name
+    assert main(["metrics", "--pred", truth, "--truth", truth, "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+    assert manifest["config"]["format"] == fmt
+    text = out.read_text()
+    if fmt == "csv":
+        assert text.startswith("ri,ari,nari,")
+    else:
+        assert json.loads(text)["ari"] == 1.0
 
 
 def test_metrics_silhouette_only_csv(workdir, tmp_path):

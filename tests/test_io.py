@@ -354,6 +354,18 @@ def test_dense_csv_roundtrip(tmp_path):
     assert np.array_equal(read_dense_csv(tmp_path / "a.csv"), arr)
 
 
+def test_dense_csv_holds_the_encoded_rows_not_the_matrix_as_objects(tmp_path):
+    n = 1000
+    d = random_distances(n, seed=2)
+    path = tmp_path / "d.csv"
+    _, peak = traced_peak(write_dm_csv, d, path)
+    # the encoded file is about 2.3 n²·8 bytes; Python floats for every
+    # value, then one joined string, would take far more
+    assert peak <= 3 * n * n * 8
+    rows = d.values.tolist()
+    assert path.read_text() == "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
+
+
 def test_sparse_csv_roundtrip(tmp_path):
     arr = np.zeros((5, 4))
     arr[0, 3] = 1.25

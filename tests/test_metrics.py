@@ -3,8 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from oracles import naive_ari, naive_rand_index, naive_silhouette
+from oracles import (
+    naive_ari,
+    naive_rand_index,
+    naive_silhouette,
+    table_ari,
+    table_nari,
+    table_rand_index,
+)
 
+from tractsparse import metrics
 from tractsparse.distances import DistanceMatrix
 from tractsparse.errors import LengthMismatch, SingleClusterWarning
 from tractsparse.metrics import (
@@ -137,6 +145,56 @@ def test_nari_singleton_truth_cluster():
     val = normalized_ari(truth, predicted)
     assert np.isfinite(val)
     assert val < 1.0
+
+
+# --- one table for all three scores ----------------------------------------
+
+def _labeling_grid():
+    """Seeded labelings, truth first, with every degenerate rule's case."""
+    yield from [
+        ([], []), ([3], [0]),                                  # no item pairs
+        ([0, 0, 0, 0], [1, 1, 1, 1]),                          # one cluster
+        ([0, 1, 2, 3], [4, 5, 6, 7]),                          # all singletons
+        ([0, 0, 0, 0], [0, 1, 2, 3]), ([0, 1, 2, 3], [0, 0, 0, 0]),
+        ([2, 2, 0, 1, 1], [7, 7, 3, 5, 5]),                    # identical partitions
+        ([0, 0, 0, 1], [0, 0, 0, 0]), ([0, 0, 0, 1], [0, 0, 1, 1]),  # singleton truth
+        ([0, 0, 1, 1, 2], [0, 1, 0, 1, 1]),
+    ]
+    rng = np.random.default_rng(28)
+    for case in range(300):
+        n = int(rng.integers(0, 120))
+        a = rng.integers(0, int(rng.integers(1, 8)), size=n)
+        if case % 10 == 0:
+            b = rng.permutation(int(a.max(initial=0)) + 1)[a] + 3
+        else:
+            b = rng.integers(0, int(rng.integers(1, 8)), size=n)
+        yield a, b
+
+
+def test_scores_match_the_separate_table_scorers_bit_for_bit():
+    for truth, pred in _labeling_grid():
+        expected = (table_rand_index(truth, pred), table_ari(truth, pred),
+                    table_nari(truth, pred))
+        got = (rand_index(truth, pred), adjusted_rand_index(truth, pred),
+               normalized_ari(truth, pred))
+        report = compute_metrics(truth, pred)
+        # repr tells the sign of a zero and a NumPy scalar from a float
+        assert list(map(repr, got)) == list(map(repr, expected)), (truth, pred)
+        assert list(map(repr, (report.ri, report.ari, report.nari))) == list(
+            map(repr, expected)
+        )
+
+
+def test_compute_metrics_builds_one_contingency_table(monkeypatch):
+    calls, contingency = [], metrics._contingency
+
+    def counted(a, b):
+        calls.append(a.size)
+        return contingency(a, b)
+
+    monkeypatch.setattr(metrics, "_contingency", counted)
+    compute_metrics([0, 0, 1, 1, 2], [0, 1, 1, 1, 2])
+    assert calls == [5]
 
 
 # --- silhouette ------------------------------------------------------------
