@@ -135,17 +135,16 @@ def segment_with_atlas(
     ksc atlas costs m training streamlines, not the whole pool; for its
     one-non-zero columns W is bitwise the same as with the full set. For a
     hand-built dictionary with several non-zeros per column the shorter sums
-    may differ in the last bits. One training-first distance pass gives both
-    kernels (see `_anchor_kernels`). ``new_t`` is validated first, so an
-    error names a bad streamline by its index there.
+    may differ in the last bits. One distance pass over ``new_t``, then the
+    training set, gives both kernels (see `_anchor_kernels`); as ``new_t``
+    comes first, an error names a bad streamline by its index there.
     """
     if measure is not None and measure != atlas.measure:
         raise AtlasVersionMismatch(
             f"atlas was built with measure {atlas.measure!r}, not {measure!r}"
         )
-    validate_tractogram(new_t)
     k_train, cross = _anchor_kernels(
-        Tractogram(atlas.training.streamlines + new_t.streamlines), len(atlas.training),
+        Tractogram(new_t.streamlines + atlas.training.streamlines), len(atlas.training),
         atlas.measure, threads, atlas.gamma, atlas.shift,
     )
     assignment, labels, unassigned = segment_with_dictionary(

@@ -44,6 +44,7 @@ from scipy.spatial.distance import cdist
 
 from .linalg import _row_strips
 from .model import (
+    _DISTANCE_BOUND,
     _KNOWN_SYMMETRIC,
     Streamline,
     Tractogram,
@@ -60,7 +61,7 @@ DEFAULT_ENDPOINT_THRESHOLD_MM = 7.0
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Dense symmetric matrix of pairwise streamline distances in mm."""
+    """Dense symmetric matrix of streamline distances in mm, each at most 1e152."""
 
     n: int
     values: np.ndarray
@@ -77,6 +78,8 @@ class DistanceMatrix:
             raise ValueError("distance matrix contains non-finite values")
         if low < 0:
             raise ValueError("distance matrix contains negative values")
+        if high > _DISTANCE_BOUND:
+            raise ValueError(f"distance matrix contains values above {_DISTANCE_BOUND:g}")
         if np.any(np.diagonal(vals) != 0.0):
             raise ValueError("distance matrix diagonal must be exactly zero")
         if not _KNOWN_SYMMETRIC.get() and not all(
@@ -384,9 +387,10 @@ def cross_distances(
 
     Entry (i, j) is the same symmetrized measure ``pairwise_distances`` uses,
     so ``cross_distances(t, t)`` equals the square matrix bit for bit, as do
-    the first ``len(a)`` columns when b lists a first (see
-    ``kernel._anchor_kernels``). One
-    pass over the a × b point blocks serves both directions. Blocks are
+    the last ``len(a)`` columns when b ends with a (see
+    ``kernel._anchor_kernels``). a is validated before b, so when a is
+    valid an error names a bad streamline by its index in b. One pass over
+    the a × b point blocks serves both directions. Blocks are
     bounded by point pairs, not by points per side (see `_cross_tiles`), so
     against m streamlines of P points in all it runs about one block per
     ``_TILE_POINTS``²/P points of the other side. ``threads`` is as in

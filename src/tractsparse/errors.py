@@ -33,7 +33,7 @@ class NonFiniteCoordinate(DataError):
 
 
 class AllZeroDistances(DataError):
-    """Every off-diagonal distance is zero; no kernel width can be inferred."""
+    """No kernel width: the distances are all zero or too small to square."""
 
 
 class LengthMismatch(DataError):

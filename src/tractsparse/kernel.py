@@ -9,6 +9,7 @@ the n×n matrix.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -85,9 +86,10 @@ class KernelMatrix:
 def select_gamma(d: DistanceMatrix) -> float:
     """RBF width from the distance distribution: γ = 1/(2·median²).
 
-    Raises AllZeroDistances when every off-diagonal distance is zero, in
-    which case no scale can be inferred (callers that want the γ=1 fallback
-    should go through :func:`kernel_from_distances`).
+    Raises AllZeroDistances when every off-diagonal distance is zero, or
+    when the median is so small that 2·median² rounds to 0 or γ overflows,
+    in which case no scale can be inferred (callers that want the γ=1
+    fallback should go through :func:`kernel_from_distances`).
     """
     if d.n < 2:
         raise ValueError("need at least 2 streamlines to select gamma")
@@ -117,7 +119,10 @@ def _width_from_upper(off: np.ndarray) -> float:
     if sigma == 0.0:
         # Majority of exact duplicates; fall back to the positive entries.
         sigma = float(np.median(off[off > 0]))
-    return 1.0 / (2.0 * sigma * sigma)
+    two_var = 2.0 * sigma * sigma
+    if two_var == 0.0 or not math.isfinite(1.0 / two_var):
+        raise AllZeroDistances(f"median distance {sigma:g} is too small to square")
+    return 1.0 / two_var
 
 
 def _rbf_values(d: np.ndarray, gamma: float) -> np.ndarray:
@@ -156,10 +161,11 @@ def _shifted_rbf(values: np.ndarray, gamma=None, shift=None) -> KernelMatrix:
     symmetry check. With ``gamma`` None the width is `select_gamma`'s, taken
     inside the buffer: the triangle is packed at its front and a copy right
     behind it is partitioned; the rows are then unpacked from the last one
-    back and mirrored, which restores the distances. If every distance is
-    zero a warning is issued and γ falls back to 1. With ``shift`` None the
-    shift is `_psd_shift` of the unshifted kernel. The shift is added to the
-    diagonal alone, which gives the same floats as adding shift·I.
+    back and mirrored, which restores the distances. If the distances are
+    all zero or too small to square, a warning is issued and γ falls back
+    to 1. With ``shift`` None the shift is `_psd_shift` of the unshifted
+    kernel. The shift is added to the diagonal alone, which gives the same
+    floats as adding shift·I.
     """
     n = values.shape[0]
     if gamma is None:
@@ -171,7 +177,8 @@ def _shifted_rbf(values: np.ndarray, gamma=None, shift=None) -> KernelMatrix:
         try:
             gamma = _width_from_upper(flat[at : 2 * at])
         except AllZeroDistances:
-            warnings.warn("all distances are zero; falling back to gamma=1", stacklevel=3)
+            msg = "the distances are all zero or too small to square"
+            warnings.warn(f"{msg}; falling back to gamma=1", stacklevel=3)
             gamma = 1.0
         for i in reversed(range(n - 1)):
             at -= n - 1 - i
@@ -220,9 +227,9 @@ def kernel_from_distances(d: DistanceMatrix, gamma: float | None = None) -> Kern
     """Distance matrix to shifted PSD kernel in one step.
 
     With gamma=None the width is selected from the median distance; if every
-    distance is zero a warning is issued and γ falls back to 1. The result
-    equals ``spectrum_shift(rbf_kernel(d, gamma))`` bit for bit but is built
-    in one copy of d's n×n array.
+    distance is zero, or too small to square, a warning is issued and γ
+    falls back to 1. The result equals ``spectrum_shift(rbf_kernel(d,
+    gamma))`` bit for bit but is built in one copy of d's n×n array.
     """
     return _shifted_rbf(_matrix_copy(d.values), gamma)
 
@@ -238,16 +245,16 @@ def _kernel_in_distance_buffer(d: DistanceMatrix, gamma=None, shift=None) -> Ker
 
 
 def _anchor_kernels(t, p, measure, threads, gamma=None, shift=None):
-    """The shifted kernel of t's first p streamlines and their rows against the rest.
+    """The shifted kernel of t's last p streamlines and their rows against the rest.
 
-    Of the one p×n `cross_distances` block, the first p columns are those
+    Of the one p×n `cross_distances` block, the last p columns are those
     anchors' square matrix bit for bit; a copy of them goes to
-    `_shifted_rbf` (``gamma`` and ``shift`` as there). The rest become
-    exp(−γ·d²) in place and are returned as a p×(n−p) view.
+    `_shifted_rbf` (``gamma`` and ``shift`` as there). The first n − p
+    become exp(−γ·d²) in place and are returned as a p×(n−p) view.
     """
-    d = cross_distances(Tractogram(t.streamlines[:p]), t, measure, threads=threads)
-    k = _shifted_rbf(_matrix_copy(d[:, :p]), gamma, shift)
-    return k, _rbf_values(d[:, p:], k.gamma)
+    d = cross_distances(Tractogram(t.streamlines[-p:]), t, measure, threads=threads)
+    k = _shifted_rbf(_matrix_copy(d[:, -p:]), gamma, shift)
+    return k, _rbf_values(d[:, :-p], k.gamma)
 
 
 def nystrom_kernel(
@@ -265,9 +272,10 @@ def nystrom_kernel(
     only, so the p = n case reproduces the dense shifted kernel. G is n×r
     with r ≤ p: landmark eigenpairs too small to invert are dropped. With
     ``gamma`` None the width is the landmark block's, chosen as for the
-    dense kernel (γ = 1 with a warning when those distances are all zero,
-    and for a single landmark). Both blocks come from one landmarks-first
-    distance pass (see `_anchor_kernels`).
+    dense kernel (γ = 1 with a warning when those distances are all zero
+    or too small to square, and for a single landmark). Both blocks come
+    from one distance pass over the rest, then the landmarks (see
+    `_anchor_kernels`).
     """
     validate_tractogram(t)
     n = len(t)
@@ -278,7 +286,7 @@ def nystrom_kernel(
     landmarks = np.sort(rng.choice(n, size=p, replace=False))
     rest = np.setdiff1d(np.arange(n), landmarks)
     k_aa, k_ab = _anchor_kernels(
-        Tractogram(tuple(t[i] for i in np.concatenate([landmarks, rest]))), p, measure,
+        Tractogram(tuple(t[i] for i in np.concatenate([rest, landmarks]))), p, measure,
         threads, 1.0 if gamma is None and p < 2 else gamma,
     )
     w, v = sym_eig(k_aa.dense_values)

@@ -77,11 +77,12 @@ def _matrix(shape) -> np.ndarray:
     The package's n×n matrices come from here: distances
     (`distances._assemble`), the matrices read from .dm and dense .km
     files, the kernel copies in `kernel`, a factored kernel's
-    `KernelMatrix.dense`, the graph Laplacian and the spectral start's
-    normalized Laplacian. Its pages go back to the operating system when
-    the array is freed, so a freed matrix never stays resident behind the
-    next one, and the C allocator never raises its threshold for serving
-    large blocks from the heap. A process that runs several commands
+    `KernelMatrix.dense`, the graph Laplacian, its per-component blocks
+    (`solvers._laplacian_blocks`) and the spectral start's normalized
+    Laplacian. Its pages go back to the operating system when the array is
+    freed, so a freed matrix never stays resident behind the next one, and
+    the C allocator never raises its threshold for serving large blocks
+    from the heap. A process that runs several commands
     therefore peaks at one command's footprint. A map cannot be empty, so
     an empty shape still maps one byte.
     """
@@ -206,6 +207,9 @@ class SolverConfig:
 # Largest accepted |coordinate| in mm. Below it no squared point difference
 # can overflow: 3·(2·1e150)² ≈ 1.2e301, far under float64's 1.8e308.
 _COORDINATE_BOUND = 1e150
+# Largest accepted distance in mm: above 2√3·1e150, the farthest apart two
+# in-range points can be, and below about 1.3e154, where a square overflows.
+_DISTANCE_BOUND = 1e152
 
 
 def validate_tractogram(t: Tractogram) -> None:

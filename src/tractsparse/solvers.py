@@ -753,7 +753,8 @@ def _laplacian_blocks(laplacian, lambda_l: float, n: int):
 
     Components come from a breadth-first search over the non-zeros of L,
     read ``_FRONTIER_ROWS`` frontier rows at a time, so no copy of L is
-    made. L is symmetric, as a graph Laplacian is: a row reaching a column
+    made. Each block is copied a strip of rows at a time into a `_matrix`.
+    L is symmetric, as a graph Laplacian is: a row reaching a column
     of an earlier component would couple two blocks, and raises.
     """
     lap = np.asarray(laplacian, dtype=np.float64)
@@ -776,7 +777,9 @@ def _laplacian_blocks(laplacian, lambda_l: float, n: int):
             frontier = np.flatnonzero(reached & (comp < 0))
             comp[frontier] = seed
         idx = np.flatnonzero(comp == seed)
-        q = lap[np.ix_(idx, idx)]
+        q = _matrix((idx.size, idx.size))
+        for i, j in _row_strips(idx.size):
+            q[i:j] = lap[np.ix_(idx[i:j], idx)]
         q *= lambda_l
         blocks.append((idx, q, schur_form(q)))
     return blocks

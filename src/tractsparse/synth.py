@@ -149,6 +149,24 @@ def _partition_counts(total, fractions):
     return counts
 
 
+def _bundles(layout, counts, seed, **shared):
+    """Generate one bundle per (template, center, rotation) row of ``layout``,
+    with that row's count and the ``shared`` settings; points per streamline
+    keep their (12, 24) default."""
+    specs = [
+        BundleSpec(tpl, center, streamline_count=n, rotation_deg=rot, **shared)
+        for (tpl, center, rot), n in zip(layout, counts)
+    ]
+    return generate(specs, seed=seed)
+
+
+def _origin_lines(angles_deg, count, seed, jitter_sigma):
+    """Equal line bundles through the origin, turned about z by ``angles_deg``."""
+    layout = [("line", (0.0, 0.0, 0.0), (0.0, 0.0, a)) for a in angles_deg]
+    shared = dict(scale=100.0, jitter_sigma=jitter_sigma, length_variation=0.1)
+    return _bundles(layout, [count] * len(layout), seed, **shared)
+
+
 def preset_separated5(seed: int = 0, total_count: int = 1000):
     """Five well-separated bundles; the easy ground-truth benchmark.
 
@@ -159,13 +177,6 @@ def preset_separated5(seed: int = 0, total_count: int = 1000):
     cross-bundle similarity drops to zero. Construction keeps the minimum
     cross-bundle MCP above five times the maximum within-bundle MCP.
     """
-    counts = _partition_counts(total_count, _SEPARATED5_FRACTIONS)
-    common = dict(
-        scale=50.0,
-        jitter_sigma=2.0,
-        length_variation=0.0,
-        points_per_streamline=(12, 24),
-    )
     layout = [
         ("line", (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
         ("arc", (160.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
@@ -173,17 +184,9 @@ def preset_separated5(seed: int = 0, total_count: int = 1000):
         ("s_shape", (160.0, 160.0, 0.0), (0.0, 0.0, 0.0)),
         ("line", (80.0, 80.0, 135.0), (0.0, 0.0, 90.0)),
     ]
-    specs = [
-        BundleSpec(
-            template=tpl,
-            center=center,
-            rotation_deg=rot,
-            streamline_count=count,
-            **common,
-        )
-        for (tpl, center, rot), count in zip(layout, counts)
-    ]
-    return generate(specs, seed=seed)
+    counts = _partition_counts(total_count, _SEPARATED5_FRACTIONS)
+    shared = dict(scale=50.0, jitter_sigma=2.0, length_variation=0.0)
+    return _bundles(layout, counts, seed, **shared)
 
 
 def preset_overlap3(seed: int = 0, count_per_bundle: int = 120):
@@ -194,37 +197,12 @@ def preset_overlap3(seed: int = 0, count_per_bundle: int = 120):
     remain mostly (not perfectly) bundle-pure. This is the regime where
     endpoint-graph smoothing has something to fix.
     """
-    common = dict(
-        center=(0.0, 0.0, 0.0),
-        scale=100.0,
-        streamline_count=count_per_bundle,
-        jitter_sigma=3.0,
-        length_variation=0.1,
-        points_per_streamline=(12, 24),
-    )
-    specs = [
-        BundleSpec(template="line", rotation_deg=(0.0, 0.0, 0.0), **common),
-        BundleSpec(template="line", rotation_deg=(0.0, 0.0, 20.0), **common),
-        BundleSpec(template="line", rotation_deg=(0.0, 0.0, 40.0), **common),
-    ]
-    return generate(specs, seed=seed)
+    return _origin_lines((0.0, 20.0, 40.0), count_per_bundle, seed, jitter_sigma=3.0)
 
 
 def preset_crossing2(seed: int = 0, count_per_bundle: int = 100):
     """Two orthogonal bundles through the same region."""
-    common = dict(
-        center=(0.0, 0.0, 0.0),
-        scale=100.0,
-        streamline_count=count_per_bundle,
-        jitter_sigma=2.0,
-        length_variation=0.1,
-        points_per_streamline=(12, 24),
-    )
-    specs = [
-        BundleSpec(template="line", rotation_deg=(0.0, 0.0, 0.0), **common),
-        BundleSpec(template="line", rotation_deg=(0.0, 0.0, 90.0), **common),
-    ]
-    return generate(specs, seed=seed)
+    return _origin_lines((0.0, 90.0), count_per_bundle, seed, jitter_sigma=2.0)
 
 
 PRESETS = {

@@ -301,3 +301,124 @@ def column_pursuit(atk, atka, s_max, excluded):
             w[idx] = sol
         w_all[:, i] = w
     return w_all
+
+
+def preset_specs(name, counts):
+    """The synthetic presets' bundle specs, written out one by one.
+
+    ``counts`` holds one streamline count per bundle, in spec order. This
+    is the one oracle that imports from the package: a spec is only
+    meaningful as the ``BundleSpec`` that ``generate`` reads.
+    """
+    from tractsparse.synth import BundleSpec
+
+    if name == "separated5":
+        return [
+            BundleSpec(
+                template="line",
+                center=(0.0, 0.0, 0.0),
+                scale=50.0,
+                streamline_count=counts[0],
+                jitter_sigma=2.0,
+                length_variation=0.0,
+                points_per_streamline=(12, 24),
+                rotation_deg=(0.0, 0.0, 0.0),
+            ),
+            BundleSpec(
+                template="arc",
+                center=(160.0, 0.0, 0.0),
+                scale=50.0,
+                streamline_count=counts[1],
+                jitter_sigma=2.0,
+                length_variation=0.0,
+                points_per_streamline=(12, 24),
+                rotation_deg=(0.0, 0.0, 0.0),
+            ),
+            BundleSpec(
+                template="u_shape",
+                center=(0.0, 160.0, 0.0),
+                scale=50.0,
+                streamline_count=counts[2],
+                jitter_sigma=2.0,
+                length_variation=0.0,
+                points_per_streamline=(12, 24),
+                rotation_deg=(0.0, 0.0, 0.0),
+            ),
+            BundleSpec(
+                template="s_shape",
+                center=(160.0, 160.0, 0.0),
+                scale=50.0,
+                streamline_count=counts[3],
+                jitter_sigma=2.0,
+                length_variation=0.0,
+                points_per_streamline=(12, 24),
+                rotation_deg=(0.0, 0.0, 0.0),
+            ),
+            BundleSpec(
+                template="line",
+                center=(80.0, 80.0, 135.0),
+                scale=50.0,
+                streamline_count=counts[4],
+                jitter_sigma=2.0,
+                length_variation=0.0,
+                points_per_streamline=(12, 24),
+                rotation_deg=(0.0, 0.0, 90.0),
+            ),
+        ]
+    if name == "overlap3":
+        return [
+            BundleSpec(
+                template="line",
+                center=(0.0, 0.0, 0.0),
+                scale=100.0,
+                streamline_count=counts[0],
+                jitter_sigma=3.0,
+                length_variation=0.1,
+                points_per_streamline=(12, 24),
+                rotation_deg=(0.0, 0.0, 0.0),
+            ),
+            BundleSpec(
+                template="line",
+                center=(0.0, 0.0, 0.0),
+                scale=100.0,
+                streamline_count=counts[1],
+                jitter_sigma=3.0,
+                length_variation=0.1,
+                points_per_streamline=(12, 24),
+                rotation_deg=(0.0, 0.0, 20.0),
+            ),
+            BundleSpec(
+                template="line",
+                center=(0.0, 0.0, 0.0),
+                scale=100.0,
+                streamline_count=counts[2],
+                jitter_sigma=3.0,
+                length_variation=0.1,
+                points_per_streamline=(12, 24),
+                rotation_deg=(0.0, 0.0, 40.0),
+            ),
+        ]
+    if name == "crossing2":
+        return [
+            BundleSpec(
+                template="line",
+                center=(0.0, 0.0, 0.0),
+                scale=100.0,
+                streamline_count=counts[0],
+                jitter_sigma=2.0,
+                length_variation=0.1,
+                points_per_streamline=(12, 24),
+                rotation_deg=(0.0, 0.0, 0.0),
+            ),
+            BundleSpec(
+                template="line",
+                center=(0.0, 0.0, 0.0),
+                scale=100.0,
+                streamline_count=counts[1],
+                jitter_sigma=2.0,
+                length_variation=0.1,
+                points_per_streamline=(12, 24),
+                rotation_deg=(0.0, 0.0, 90.0),
+            ),
+        ]
+    raise ValueError(name)

@@ -8,6 +8,8 @@ exception of no documented kind, which is a bug in the program.
 """
 
 import shutil
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -92,3 +94,35 @@ def test_corrupt_input_ends_in_a_documented_exit_code(clean, tmp_path, capsys, n
     assert not undocumented, undocumented
     # the damage reaches the readers: at least a quarter is caught as bad input
     assert codes.count(3) >= CASES_PER_INPUT // 4, codes
+
+
+def _write_raw_dm(values, path):
+    """A .dm file of ``values`` written byte by byte, past DistanceMatrix's checks."""
+    n = values.shape[0]
+    rows = b"".join(values[i, i:].astype("<f8").tobytes() for i in range(n))
+    path.write_bytes(b"DM01" + struct.pack("<Q", n) + rows)
+
+
+@pytest.mark.parametrize("scale,single,code", [
+    (1e160, False, 3),   # every square overflows
+    (1e200, True, 3),    # one entry's square overflows
+    (1e-155, False, 0),  # 2·median² is subnormal and γ overflows
+    (1e-170, False, 0),  # 2·median² underflows to zero
+])
+def test_distances_at_extreme_scales(clean, tmp_path, capsys, scale, single, code):
+    n = 30
+    values = np.ones((n, n)) if single else np.full((n, n), scale)
+    values[0, 1] = values[1, 0] = scale
+    np.fill_diagonal(values, 0.0)
+    _write_raw_dm(values, tmp_path / "d.dm")
+    argv = ["cluster", "--in", str(clean / "tract.slb"), "--dist", str(tmp_path / "d.dm"),
+            "--method", "ksc", "--m", "2", "--out", str(tmp_path / "out"), "--threads", "1"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == code
+    err = capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if code == 3:
+        assert "above 1e+152" in err
+    else:
+        assert any("falling back to gamma=1" in str(w.message) for w in caught)

@@ -313,7 +313,7 @@ def sep5_700():
 @pytest.mark.parametrize("p", [64, 300])
 @pytest.mark.parametrize("measure", ["mcp", "ep"])
 def test_nystrom_factor_matches_two_pass_construction(sep5_700, measure, p):
-    # One landmarks-first block gives the bits of two passes. A single
+    # One rest-then-landmarks block gives the bits of two passes. A single
     # product over all n rows of that block would not: with threaded BLAS
     # it moves the last bit of some rows at p = 300.
     k = nystrom_kernel(sep5_700, measure, p=p, seed=0)

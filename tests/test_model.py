@@ -243,6 +243,10 @@ def test_every_package_matrix_is_mapped(tmp_path, monkeypatch):
         "graph_laplacian": graph_laplacian(build_endpoint_graph(t)),
         "KernelMatrix.dense (factored)": nystrom_kernel(t, "mcp", p=10, seed=0).dense(),
     }
+    blocks = solvers._laplacian_blocks(matrices["graph_laplacian"], 0.5, len(t))
+    assert blocks
+    for b, (_, q, _) in enumerate(blocks):
+        matrices[f"_laplacian_blocks[{b}]"] = q
     assert [name for name, arr in matrices.items() if not mapped(arr)] == []
     # the spectral start's dense normalized Laplacian
     seen, eig = [], solvers.sym_eig

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import preset_specs
+
 from tractsparse import build_endpoint_graph, dist_mcp, pairwise_distances
 from tractsparse.synth import (
     PRESETS,
@@ -167,3 +169,26 @@ def test_overlap3_bodies_cross_but_endpoints_mostly_separate():
     across = adj.sum() - within
     assert within > 4 * across
     assert within > 0
+
+
+_PRESET_COUNTS = [
+    ("separated5", 150, [108, 11, 11, 10, 10]),
+    ("separated5", 1000, [720, 70, 70, 70, 70]),
+    ("separated5", 2000, [1440, 140, 140, 140, 140]),
+    ("overlap3", 7, [7, 7, 7]),
+    ("overlap3", 120, [120, 120, 120]),
+    ("crossing2", 30, [30, 30]),
+    ("crossing2", 100, [100, 100]),
+]
+
+
+@pytest.mark.parametrize("name,count,counts", _PRESET_COUNTS)
+def test_presets_equal_their_written_out_specs(name, count, counts):
+    for seed in range(10):
+        t, lab = PRESETS[name](seed, count)
+        ref_t, ref_lab = generate(preset_specs(name, counts), seed=seed)
+        assert len(t) == len(ref_t)
+        for got, want in zip(t, ref_t):
+            assert got.points.tobytes() == want.points.tobytes()
+        assert lab.m == ref_lab.m
+        assert lab.labels.tobytes() == ref_lab.labels.tobytes()
